@@ -248,7 +248,14 @@ def component_labels(env) -> np.ndarray:
 
 def sample_query(env, rng: np.random.Generator,
                  labels: Optional[np.ndarray] = None) -> tuple[int, int]:
-    """Uniform start/goal pair over distinct, mutually reachable regions."""
+    """Uniform start/goal pair over distinct, mutually reachable regions.
+
+    Raises ValueError when there is no such pair, i.e. when no region has a
+    traversable neighbour.
+    """
+    if not any(env.neighbors(r) for r in range(env.n)):
+        raise ValueError("no region has a traversable neighbour, so no "
+                         "start/goal pair is reachable")
     if labels is None:
         labels = component_labels(env)
     while True:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import bit_indices, mask_from_indices
+from .terrain import check_field_matches
 
 
 def exposed_set(field, path: Sequence[int]) -> int:
@@ -66,6 +67,7 @@ def build_corridor(env, field, path: Sequence[int],
     connected_only keeps only corridor regions reachable from the path by
     moves that stay inside the corridor.
     """
+    check_field_matches(env, field)
     k_mask = exposed_set(field, path)
     c_mask = corridor(field, k_mask)
     if connected_only:

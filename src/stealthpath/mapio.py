@@ -13,7 +13,10 @@ or corrupt cache would silently poison every planner that consumes it.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +77,18 @@ def load_heightmap(path) -> tuple[np.ndarray, float]:
 
 
 def save_exposure_field(path, field: ExposureField) -> None:
+    """Write the field atomically: readers see the old file or the whole new
+    one, never a partial write."""
+    path = Path(path)
     payload = EXPF_MAGIC + struct.pack("<I", field.n) + field.to_packed().tobytes()
-    Path(path).write_bytes(payload)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_exposure_field(path) -> ExposureField:
@@ -104,14 +117,22 @@ def field_cache_path(map_bytes: bytes, d: float, cache_dir) -> Path:
 def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
                           cache_dir=None, use_cache: bool = True) -> ExposureField:
     """Fetch the environment's exposure field, going through the cache if
-    a map identity (its raw bytes) and a cache directory are supplied."""
+    a map identity (its raw bytes) and a cache directory are supplied.
+
+    A cache file that does not load as a valid field of the right size is a
+    miss: it is reported on stderr and overwritten with a fresh build."""
     cache_path = None
     if use_cache and map_bytes is not None and cache_dir is not None:
         cache_path = field_cache_path(map_bytes, env.d, cache_dir)
         if cache_path.exists():
-            field = load_exposure_field(cache_path)
-            if field.n == env.n:
-                return field
+            try:
+                field = load_exposure_field(cache_path)
+            except ValueError as exc:
+                print(f"warning: ignoring invalid field cache ({exc}); recomputing",
+                      file=sys.stderr)
+            else:
+                if field.n == env.n:
+                    return field
     field = compute_exposure_field(env)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

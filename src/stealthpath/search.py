@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .terrain import traversable
+from .terrain import check_field_matches, traversable
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -118,7 +118,8 @@ def validate_path(env, path: Sequence[int]) -> None:
 
 # -- parameter checks ---------------------------------------------------------
 
-def _check_query(env, s: int, g: int) -> None:
+def _check_query(env, field, s: int, g: int) -> None:
+    check_field_matches(env, field)
     for name, r in (("start", s), ("goal", g)):
         if not 0 <= r < env.n:
             raise ValueError(f"{name} region {r} outside [0, {env.n})")
@@ -139,7 +140,7 @@ def _check_tau(tau) -> int:
 
 def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     """Exposure-agnostic A*: fewest moves, admissible grid-distance heuristic."""
-    _check_query(env, s, g)
+    _check_query(env, field, s, g)
     t0 = time.perf_counter()
     res = _astar_region(env, s, g,
                         step_cost=lambda a, b: 1.0,
@@ -154,7 +155,7 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     scaled by the map's minimum exposure score, an optimistic per-distance
     exposure rate.
     """
-    _check_query(env, s, g)
+    _check_query(env, field, s, g)
     t0 = time.perf_counter()
     scores = field.scores()
     delta = field.min_score()
@@ -203,7 +204,7 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
     small enough (m < 1/n) that no amount of walking outweighs one exposure.
     Heuristic: goal exposures not yet in the accumulator.
     """
-    _check_query(env, s, g)
+    _check_query(env, field, s, g)
     if m is None:
         m = 1.0 / (2 * env.n)
     if not 0.0 < m < 1.0 / env.n:
@@ -248,7 +249,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     are free to re-expose. tau = 1 prices every transition like plan_binary
     (minus its movement cost), scaled by -log10(p_success).
     """
-    _check_query(env, s, g)
+    _check_query(env, field, s, g)
     tau = _check_tau(tau)
     _check_p(p_success)
     t0 = time.perf_counter()
@@ -335,7 +336,7 @@ def plan_exact(env, field, s: int, g: int,
     stops with a budget_exceeded result instead of returning a suboptimal
     path silently.
     """
-    _check_query(env, s, g)
+    _check_query(env, field, s, g)
     if node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     t0 = time.perf_counter()

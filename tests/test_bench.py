@@ -157,6 +157,21 @@ class TestOptimalityGap:
             optimality_gap(1, 1, 0)
 
 
+class _BoundedRng:
+    """A Generator that fails the test after `draws` draws instead of
+    letting a sampling loop that never ends hang the suite."""
+
+    def __init__(self, rng, draws):
+        self._rng = rng
+        self._left = draws
+
+    def integers(self, *args, **kwargs):
+        self._left -= 1
+        if self._left < 0:
+            raise AssertionError("sampler kept drawing without finding a pair")
+        return self._rng.integers(*args, **kwargs)
+
+
 class TestQuerySampling:
     def test_pairs_are_connected_and_distinct(self, boxes12):
         env, _ = boxes12
@@ -167,6 +182,14 @@ class TestQuerySampling:
             assert s != g
             assert labels[s] == labels[g]
             assert env.neighbors(s)
+
+    def test_raises_when_no_region_can_move(self):
+        # 5 m between neighbours, 1 m climbable: every region is isolated
+        ramp = 5.0 * np.add.outer(np.arange(10), np.arange(10))
+        env = build_environment(ramp, cell_size=10.0, max_step=1.0)
+        rng = _BoundedRng(np.random.default_rng(0), draws=10_000)
+        with pytest.raises(ValueError, match="traversable neighbour"):
+            sample_query(env, rng)
 
     def test_deterministic(self, boxes12):
         env, _ = boxes12

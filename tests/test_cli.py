@@ -117,6 +117,20 @@ class TestFieldCache:
         assert caches[0].read_bytes() == stamp
         assert json.loads(capsys.readouterr().out)["path"] == json.loads(out1)["path"]
 
+    def test_truncated_cache_is_rebuilt(self, tmp_path, capsys):
+        p = make_map(tmp_path)
+        out = tmp_path / "img.pgm"
+        assert main(["render", "--map", str(p), "--out", str(out)]) == 0
+        (cache,) = tmp_path.glob("*.expf")
+        good = cache.read_bytes()
+        cache.write_bytes(good[:20])
+        capsys.readouterr()
+        assert main(["render", "--map", str(p), "--out", str(out)]) == 0
+        assert "invalid field cache" in capsys.readouterr().err
+        assert cache.read_bytes() == good
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            [cache.name, "img.pgm", "map.txt"])
+
     def test_no_cache_flag(self, tmp_path):
         p = make_map(tmp_path)
         assert main(["plan", "--map", str(p), "--alg", "shortest",

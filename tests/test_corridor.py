@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (average_width, build_corridor, corridor,
+from stealthpath import (ExposureField, average_width, build_corridor, corridor,
                          corridor_record, exposed_set, lemma1_fixture,
                          obj_bin, plan_binary)
 from stealthpath.bitset import bit_indices, mask_from_indices
@@ -111,6 +111,13 @@ class TestBuildCorridor:
             assert (conn.corridor >> r) & 1
         # every connected-corridor cell is reachable from the path inside C
         assert conn.avg_width <= full.avg_width
+
+    @pytest.mark.parametrize("n", [143, 145], ids=["smaller", "larger"])
+    def test_field_of_another_map_is_rejected(self, boxes12, n):
+        env, _ = boxes12
+        other = ExposureField([(1 << n) - 1] * n)
+        with pytest.raises(ValueError, match=rf"covers {n} regions, environment has 144"):
+            build_corridor(env, other, [0, 1])
 
     def test_record_shape(self, boxes12):
         env, field = boxes12

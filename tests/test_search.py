@@ -345,3 +345,17 @@ class TestDeterminism:
                 plan_exact(env, field, *q).path,
             ])
         assert runs[0] == runs[1]
+
+
+class TestFieldMismatch:
+    @pytest.mark.parametrize("plan", [
+        plan_shortest, plan_ess, plan_binary,
+        lambda env, field, s, g: plan_saturation(env, field, s, g, tau=3),
+        plan_exact,
+    ], ids=["shortest", "ess", "binary", "saturation", "exact"])
+    @pytest.mark.parametrize("shape", [(4, 5), (6, 5)], ids=["smaller", "larger"])
+    def test_field_of_another_map_is_rejected(self, plan, shape):
+        env, _ = random_world(1)
+        _, other = random_world(1, shape=shape)
+        with pytest.raises(ValueError, match=rf"covers {other.n} regions, environment has {env.n}"):
+            plan(env, other, 0, env.n - 1)

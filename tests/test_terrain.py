@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,35 @@ class TestExposureFieldConstruction:
         field.validate()
         for i in range(field.n):
             assert (field.exposure_set(i) >> i) & 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1, 9), (9, 1), (1, 2), (2, 1), (3, 8), (7, 9),
+                            (9, 7), (5, 6), (6, 3), (4, 4)]),
+           st.sampled_from([0.3, 1.0, 2.5, 10.0]))
+    def test_matches_reference_walker_on_every_pair(self, seed, shape, cell):
+        # the reference walker shares no code with the builder, so unlike
+        # test_field_matches_scalar_los this catches a regression in the kernel
+        rng = np.random.default_rng(seed)
+        elev = rng.uniform(0.0, 4.0, shape)
+        if seed % 2:  # whole-metre steps put many rays exactly at grazing height
+            elev = np.round(elev)
+        field = compute_exposure_field(build_environment(elev, cell_size=cell, d=1.0))
+        n = field.n
+        for a in range(n):
+            for b in range(a + 1, n):
+                expect = reference_line_of_sight(elev, cell, 1.0, a, b)
+                assert bool((field.exposure_set(a) >> b) & 1) == expect, (a, b)
+        field.validate()
+
+    @pytest.mark.parametrize("world, digest", [
+        ("boxes50", "06d0731543a2ce44a1aa3c66c418cf7e45b1c95b976056f72bcf69680733147a"),
+        ("hills50", "39c0bcb11045c2f911d40bb372da0fb47433e1c8c5a35a449e4e73e32dc9cc28"),
+    ])
+    def test_50x50_fields_are_bit_identical_to_per_source_builder(self, world, digest, request):
+        # digests of the fields the earlier per-source builder produced
+        _, field = request.getfixturevalue(world)
+        assert hashlib.sha256(field.to_packed().tobytes()).hexdigest() == digest
 
     def test_deterministic(self):
         elev = np.random.default_rng(3).uniform(0, 5, (7, 7))
