@@ -9,6 +9,9 @@ start region, goal region) and return a PlanResult:
   the number of regions it newly exposes plus a tiny movement cost m.
 * plan_saturation: like binary but counts repeat exposures, clamped at a
   saturation threshold tau, priced in -log10 survival-probability units.
+  Its nodes keep the clamped counts as bit-sliced saturating counters on int
+  bitsets, bit_length(tau) + 1 ints of n bits each, so a step's price is a
+  popcount.
 * plan_exact: best-first search over (region, visited-set) states. Optimal
   for the binary objective but exponential; takes an expansion budget.
 
@@ -248,22 +251,25 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     resulting growth of the clamped objective, so regions already saturated
     are free to re-expose. tau = 1 prices every transition like plan_binary
     (minus its movement cost), scaled by -log10(p_success).
+
+    A node's clamped counts are bit-sliced saturating counters (see
+    _saturation_advance): tau.bit_length() + 1 ints of n bits per expanded
+    node, where a count array would take n machine words.
     """
     _check_query(env, field, s, g)
     tau = _check_tau(tau)
     _check_p(p_success)
     t0 = time.perf_counter()
     unit = -math.log10(p_success)
+    rows = field.rows
 
-    counts0 = np.zeros(env.n, dtype=np.int64)
-    counts0[field.members(s)] += 1
-    counts0[s] += tau - 1
+    empty = ((0,) * tau.bit_length(), 0)
     h0 = env.manhattan3(s, g) * tau * unit
-    # Counts arrays are materialized only when a node is expanded; heap
-    # entries reference the parent's expanded counts plus one move.
+    # Counter states are materialized only when a node is expanded; heap
+    # entries reference the parent's expanded state plus one move.
     heap = [(h0, h0, s, 0)]
     nodes = [(s, -1, 0.0)]
-    counts_of = {0: counts0}
+    state_of = {0: _saturation_advance(rows, empty, s, tau)}
     best_g = {s: 0.0}
     expansions = 0
     while heap:
@@ -271,26 +277,16 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
         _, parent_idx, gg = nodes[idx]
         if gg > best_g.get(region, math.inf):
             continue
-        counts = counts_of.get(idx)
-        if counts is None:
-            counts = counts_of[parent_idx].copy()
-            counts[field.members(region)] += 1
-            counts[region] += tau - 1
-            counts_of[idx] = counts
+        state = state_of.get(idx)
+        if state is None:
+            state = _saturation_advance(rows, state_of[parent_idx], region, tau)
+            state_of[idx] = state
         expansions += 1
         if region == g:
             return _finish("saturation", (_walk_nodes(nodes, idx), gg, expansions),
                            s, g, t0, {"tau": tau, "p_success": p_success})
         for nb in env.neighbors(region):
-            mem = field.members(nb)
-            # integer growth of sum(min(c, tau)): +1 per unsaturated exposed
-            # region, destination jumps straight to tau
-            below = int(np.count_nonzero(counts[mem] < tau))
-            cb = int(counts[nb])
-            if cb < tau:
-                below -= 1
-            delta = below + (tau - min(cb, tau))
-            ng = gg + delta * unit
+            ng = gg + _saturation_delta(rows, state, nb, tau) * unit
             if ng < best_g.get(nb, math.inf):
                 best_g[nb] = ng
                 hn = env.manhattan3(nb, g) * tau * unit
@@ -300,18 +296,60 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
                    {"tau": tau, "p_success": p_success})
 
 
+# A saturation state is (slices, sat). Bit i of slices[k] is bit k of
+# min(c_i, tau), where c_i counts the sightings of region i; sat holds the
+# regions whose clamped count has reached tau. "Regions below tau among a
+# row" is then one popcount of row & ~sat.
+
+def _saturation_advance(rows, state, region: int, tau: int):
+    """State after a step into region: every unsaturated region it exposes
+    gains one sighting, and region itself saturates (fields are reflexive)."""
+    slices, sat = state
+    carry = reached = rows[region] & ~sat
+    bit = 1 << region
+    out = []
+    for k, s in enumerate(slices):
+        # ripple-carry add of one; an unsaturated count is below tau, so
+        # nothing carries out of the top slice
+        s, carry = s ^ carry, carry & s
+        # reached keeps the incremented regions whose new count equals tau
+        if tau >> k & 1:
+            reached &= s
+            out.append(s | bit)
+        else:
+            reached &= ~s
+            out.append(s & ~bit)
+    return tuple(out), sat | reached | bit
+
+
+def _saturation_delta(rows, state, dest: int, tau: int) -> int:
+    """Growth of sum(min(c, tau)) for a step into dest: +1 per unsaturated
+    region it exposes, and dest itself jumps straight to tau."""
+    slices, sat = state
+    below = (rows[dest] & ~sat).bit_count()
+    if sat >> dest & 1:
+        return below
+    c = 0
+    for k, s in enumerate(slices):
+        c |= (s >> dest & 1) << k
+    return below - 1 + tau - c
+
+
 def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
                          p_success: float) -> float:
     """Cost plan_saturation assigns to stepping into dest from a node whose
-    accumulated counts are given. Exposed here for transition-level tests."""
+    accumulated counts are given. Exposed here for transition-level tests;
+    it prices the step with the planner's own rule."""
     tau = _check_tau(tau)
     _check_p(p_success)
-    mem = field.members(dest)
-    below = int(np.count_nonzero(counts[mem] < tau))
-    cb = int(counts[dest])
-    if cb < tau:
-        below -= 1
-    return (below + (tau - min(cb, tau))) * -math.log10(p_success)
+    clamped = np.minimum(np.asarray(counts), tau)
+
+    def mask(bits):
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    slices = tuple(mask(clamped >> k & 1) for k in range(tau.bit_length()))
+    state = (slices, mask(clamped == tau))
+    return _saturation_delta(field.rows, state, dest, tau) * -math.log10(p_success)
 
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:

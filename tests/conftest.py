@@ -24,6 +24,11 @@ def hills50():
 
 
 @pytest.fixture(scope="session")
+def hills20():
+    return _world(gen_hills(7, 20))
+
+
+@pytest.fixture(scope="session")
 def boxes12():
     """Small boxes world for cheap per-test planning."""
     return _world(gen_boxes(3, 12))

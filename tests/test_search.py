@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import deque
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (BUDGET_EXCEEDED, FOUND, NO_PATH, build_environment,
+from stealthpath import (BUDGET_EXCEEDED, FOUND, NO_PATH, ExplicitGraph,
+                         ExposureField, build_environment,
                          compute_exposure_field, lemma1_fixture, obj_acc,
                          obj_bin, path_counts, plan_binary, plan_ess,
                          plan_exact, plan_saturation, plan_shortest,
@@ -28,6 +30,64 @@ def bfs_steps(env, s, g):
                 seen.add(nb)
                 frontier.append((nb, dist + 1))
     return None
+
+
+def reference_plan_saturation(env, field, s, g, tau, p_success=0.95):
+    """The count-array plan_saturation, frozen as the oracle for the
+    bit-sliced one: each expanded node holds an n-length array of raw
+    sighting counts, and the heuristic reads the numpy points.
+
+    Returns (path, cost, expansions, status).
+    """
+    unit = -math.log10(p_success)
+
+    def h(r):
+        if env.points is None:
+            return 0.0
+        pa, pb = env.points[r], env.points[g]
+        return float(abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2]))
+
+    counts0 = np.zeros(env.n, dtype=np.int64)
+    counts0[field.members(s)] += 1
+    counts0[s] += tau - 1
+    h0 = h(s) * tau * unit
+    heap = [(h0, h0, s, 0)]
+    nodes = [(s, -1, 0.0)]
+    counts_of = {0: counts0}
+    best_g = {s: 0.0}
+    expansions = 0
+    while heap:
+        f, hr, region, idx = heapq.heappop(heap)
+        _, parent_idx, gg = nodes[idx]
+        if gg > best_g.get(region, math.inf):
+            continue
+        counts = counts_of.get(idx)
+        if counts is None:
+            counts = counts_of[parent_idx].copy()
+            counts[field.members(region)] += 1
+            counts[region] += tau - 1
+            counts_of[idx] = counts
+        expansions += 1
+        if region == g:
+            path = []
+            while idx >= 0:
+                path.append(nodes[idx][0])
+                idx = nodes[idx][1]
+            return path[::-1], float(gg), expansions, FOUND
+        for nb in env.neighbors(region):
+            mem = field.members(nb)
+            below = int(np.count_nonzero(counts[mem] < tau))
+            cb = int(counts[nb])
+            if cb < tau:
+                below -= 1
+            delta = below + (tau - min(cb, tau))
+            ng = gg + delta * unit
+            if ng < best_g.get(nb, math.inf):
+                best_g[nb] = ng
+                hn = h(nb) * tau * unit
+                nodes.append((nb, idx, ng))
+                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
+    return None, None, expansions, NO_PATH
 
 
 def random_world(seed, shape=(5, 5), max_step=1.0):
@@ -244,6 +304,60 @@ class TestPlanSaturation:
             t_sat = saturation_step_cost(field, counts, dest, 1, 0.95)
             t_bin = binary_step_cost(field, acc, dest, m)
             assert t_sat == pytest.approx(unit * (t_bin - m), rel=1e-10, abs=1e-14)
+
+
+# every slice width from 1 to 5 bits, on both sides of each width boundary
+ORACLE_TAUS = [1, 2, 3, 4, 7, 8, 25]
+
+
+def assert_matches_oracle(env, field, queries, tau, p_success=0.95):
+    for s, g in queries:
+        res = plan_saturation(env, field, s, g, tau=tau, p_success=p_success)
+        want = reference_plan_saturation(env, field, s, g, tau, p_success)
+        assert (res.path, res.cost, res.expansions, res.status) == want, (s, g, tau)
+
+
+def random_queries(env, count, seed):
+    rng = np.random.default_rng(seed)
+    return [tuple(int(v) for v in rng.integers(0, env.n, 2)) for _ in range(count)]
+
+
+class TestSaturationMatchesCountArrayOracle:
+    """plan_saturation returns the frozen count-array planner's path, cost,
+    expansions and status exactly, so the counters change no answer."""
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    @pytest.mark.parametrize("world, count", [
+        ("boxes12", 25), ("hills20", 12), ("boxes50", 6), ("hills50", 6),
+    ])
+    def test_maps(self, world, count, tau, request):
+        env, field = request.getfixturevalue(world)
+        assert_matches_oracle(env, field, random_queries(env, count, tau), tau)
+
+    @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_explicit_graph_past_one_machine_word(self, tau, with_points):
+        n = 90
+        rng = np.random.default_rng(tau)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(40)]
+        points = rng.uniform(0.0, 3.0, (n, 3)) if with_points else None
+        graph = ExplicitGraph(n, edges, points=points)
+        sees = rng.random((n, n)) < 0.2
+        sees = sees | sees.T | np.eye(n, dtype=bool)
+        field = ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees],
+                              validate=True)
+        queries = random_queries(graph, 12, tau) + [(0, n - 1), (n - 1, 3)]
+        assert_matches_oracle(graph, field, queries, tau, p_success=0.9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1, 5), (3, 3), (4, 5), (6, 6), (2, 8)]),
+           st.sampled_from(ORACLE_TAUS),
+           st.sampled_from([0.5, 0.95]))
+    def test_random_grids(self, seed, shape, tau, p):
+        env, field = random_world(seed, shape, max_step=float(seed % 3))
+        assert_matches_oracle(env, field, random_queries(env, 6, seed), tau, p)
 
 
 class TestPlanExact:

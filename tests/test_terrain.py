@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from stealthpath import (ExplicitGraph, ExposureField, build_environment,
                          compute_exposure_field, line_of_sight, traversable)
-from stealthpath.terrain import LOS_SAMPLES_PER_CELL
+from stealthpath.terrain import (LOS_SAMPLES_PER_CELL, _VALIDATE_ROWS, _visible_pairs,
+                                 _work_arrays)
 
 
 def reference_line_of_sight(elev, cell, d, a, b):
@@ -84,7 +85,9 @@ class TestLineOfSight:
         env = build_environment(elev, cell_size=cell, d=1.0)
         pairs = rng.integers(0, env.n, (12, 2))
         for a, b in pairs:
-            expect = reference_line_of_sight(elev, cell, 1.0, int(a), int(b))
+            # line_of_sight evaluates a pair from its lower-indexed region
+            lo, hi = sorted((int(a), int(b)))
+            expect = reference_line_of_sight(elev, cell, 1.0, lo, hi)
             assert line_of_sight(env, int(a), int(b)) == expect
 
 
@@ -95,12 +98,13 @@ class TestExposureFieldConstruction:
         assert field.min_score() == 1.0
 
     def test_field_matches_scalar_los(self, boxes12):
+        # both orders of every pair: sampled from either end, the rule
+        # disagrees with itself on about 1% of these pairs
         env, field = boxes12
-        rng = np.random.default_rng(8)
-        for a, b in rng.integers(0, env.n, (40, 2)):
-            a, b = int(a), int(b)
-            bit = (field.exposure_set(a) >> b) & 1
-            assert bool(bit) == line_of_sight(env, a, b)
+        for a in range(env.n):
+            row = field.exposure_set(a)
+            for b in range(env.n):
+                assert bool((row >> b) & 1) == line_of_sight(env, a, b), (a, b)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -141,6 +145,15 @@ class TestExposureFieldConstruction:
         _, field = request.getfixturevalue(world)
         assert hashlib.sha256(field.to_packed().tobytes()).hexdigest() == digest
 
+    def test_kernel_answer_does_not_depend_on_work_arrays(self, boxes12):
+        env, _ = boxes12
+        src = np.zeros(env.n - 1, dtype=np.intp)
+        tgt = np.arange(1, env.n)
+        fresh = _visible_pairs(env, src, tgt)
+        reused = _work_arrays(1 << 16)  # reused below with stale contents
+        for work in (_work_arrays(3), reused, reused):
+            assert np.array_equal(_visible_pairs(env, src, tgt, work), fresh)
+
     def test_deterministic(self):
         elev = np.random.default_rng(3).uniform(0, 5, (7, 7))
         env = build_environment(elev, cell_size=2.0)
@@ -151,6 +164,32 @@ class TestExposureField:
     def test_validate_rejects_asymmetry(self):
         rows = [0b011, 0b010, 0b101]  # region 2 claims to see 0, 0 disagrees
         with pytest.raises(ValueError, match="symmetric"):
+            ExposureField(rows, validate=True)
+
+    def test_validate_rejects_asymmetry_off_the_diagonal_block(self):
+        block = _VALIDATE_ROWS
+        n = 3 * block
+        a, b = block + 3, 2 * block + 5  # in the second row strip, off its diagonal
+        rows = [1 << i for i in range(n)]
+        rows[b] |= 1 << a
+        with pytest.raises(ValueError, match=rf"symmetric at pair \({a}, {b}\)"):
+            ExposureField(rows, validate=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_validate_names_first_asymmetric_pair(self, seed):
+        # the pair the whole-matrix check names: first in row-major order
+        block = _VALIDATE_ROWS
+        rng = np.random.default_rng(seed)
+        n = 2 * block + 40
+        sees = rng.random((n, n)) < 0.05
+        sees = sees | sees.T | np.eye(n, dtype=bool)
+        for i, j in rng.integers(0, n, (3, 2)):
+            if i != j:
+                sees[i, j] = not sees[i, j]
+        bad = np.nonzero(sees != sees.T)
+        rows = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                for r in sees]
+        with pytest.raises(ValueError, match=rf"pair \({bad[0][0]}, {bad[1][0]}\)"):
             ExposureField(rows, validate=True)
 
     def test_validate_rejects_missing_self(self):
