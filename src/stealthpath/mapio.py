@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .terrain import ExposureField, GridEnvironment, compute_exposure_field
+from .terrain import (ExposureField, GridEnvironment, check_field_matches,
+                      compute_exposure_field)
 
 EXPF_MAGIC = b"EXPF"
 
@@ -127,12 +128,12 @@ def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
         if cache_path.exists():
             try:
                 field = load_exposure_field(cache_path)
+                check_field_matches(env, field)
             except ValueError as exc:
                 print(f"warning: ignoring invalid field cache ({exc}); recomputing",
                       file=sys.stderr)
             else:
-                if field.n == env.n:
-                    return field
+                return field
     field = compute_exposure_field(env)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -31,8 +31,8 @@ import numpy as np
 
 LOS_SAMPLES_PER_CELL = 4
 
-# (pairs x samples) elements per call of the sighting kernel in the field
-# builder: small enough that its scratch arrays stay in cache.
+# (pairs x evaluated samples) elements per batch of the field builder:
+# small enough that its scratch arrays stay in cache.
 _LOS_CHUNK_ELEMENTS = 25_000
 
 # rows per strip when ExposureField.validate checks symmetry; a multiple of
@@ -201,8 +201,21 @@ def traversable(env, a: int, b: int) -> bool:
 
 # -- line of sight ----------------------------------------------------------
 
+# A planned ray sample this close to a cell boundary, in cells, is
+# ambiguous, and the field builder leaves it to the full sighting rule. The
+# position a pair computes for a sample in floats is off the planned one by
+# a few ulps of the pair's largest cell coordinate, about 1e-12 cells on any
+# grid whose field fits in memory, so a sample farther out floors into its
+# planned cell for every pair. Planned samples lie within 1e-14 cells of a
+# boundary (axis rays, Pythagorean displacements) or, on every grid up to
+# 100x100, at least 2e-7 cells from one; any value in between gives the
+# same bytes.
+_BOUNDARY_TOL = 1e-9
+
+
 def _work_arrays(size: int):
-    """Scratch arrays for _visible_pairs: three float, one index, two bool.
+    """Scratch arrays for _visible_pairs and the field builder: three
+    float, one index, two bool.
 
     Fresh temporaries of a batch's size lie above glibc's mmap threshold,
     so each would be mapped, faulted in and unmapped again; the field
@@ -214,17 +227,25 @@ def _work_arrays(size: int):
 
 
 def _visible_pairs(env: GridEnvironment, src: np.ndarray, tgt: np.ndarray,
-                   work=None) -> np.ndarray:
-    """Sampled visibility of each (src[i], tgt[i]) pair, as a bool array.
+                   work=None, ks=None) -> np.ndarray:
+    """Visibility of each (src[i], tgt[i]) pair under the full sighting rule.
 
-    This is the single implementation of the sighting rule; the scalar
-    line_of_sight wrapper and the field builder both call it, so the two can
-    never disagree. Each pair is evaluated from its own endpoints with the
+    This is the one implementation of the per-sample rule: floor the sample
+    into a cell, clip it to the grid, skip it when it lies past the target
+    or in either endpoint cell, and block when that cell rises strictly
+    above the ray. Each pair is evaluated from its own endpoints with the
     same float expression whatever else shares the call, so a pair's answer
-    does not depend on how the pairs are grouped. Rows are padded to the
-    longest ray in the call and the padding is masked out, so callers keep
-    the pairs of one call close in length. `work` (from _work_arrays) is
-    used when it is large enough for the call.
+    does not depend on how the pairs are grouped.
+
+    `ks` gives the distances along the ray of the samples to test. By
+    default that is every quarter-cell sample, as line_of_sight and the
+    reference builder in the tests use. The field builder passes one row
+    per pair, (pairs, m), holding only the samples that lie on a cell
+    boundary (see compute_exposure_field); everything else it decides from
+    one sample per crossed cell. Rows are padded to the longest in the call:
+    the default row with samples past the target, the builder's rows with
+    distance 0, which lies in the source cell; padding never blocks. `work`
+    (from _work_arrays) is used when it is large enough for the call.
     """
     pts = env.points
     cell = env.cell_size
@@ -236,8 +257,9 @@ def _visible_pairs(env: GridEnvironment, src: np.ndarray, tgt: np.ndarray,
     dx, dy, dz = (pts[tgt, k, None] - pts[src, k, None] for k in range(3))
     span = np.hypot(dx, dy)
 
-    ks = np.arange(1, int(span.max() / step) + 2) * step
-    shape = (len(src), len(ks))
+    if ks is None:
+        ks = np.arange(1, int(span.max() / step) + 2) * step
+    shape = (len(src), ks.shape[-1])
     size = shape[0] * shape[1]
     if work is None or work[0].size < size:
         work = _work_arrays(size)
@@ -281,56 +303,165 @@ def line_of_sight(env: GridEnvironment, a: int, b: int) -> bool:
     return bool(_visible_pairs(env, np.array([lo]), np.array([hi]))[0])
 
 
-def _pair_batches(height: int, width: int):
-    """Every unordered pair of cells as (src, tgt) batches with src < tgt.
+def _ray_plans(drs: np.ndarray, dcs: np.ndarray, width: int):
+    """The samples that decide rays of displacement (drs[i], dcs[i]) cells.
 
-    Pairs are grouped by displacement tgt - src, so all pairs of a
-    displacement need the same number of ray samples. Displacements run in
-    order of length and are packed into batches of about
-    _LOS_CHUNK_ELEMENTS (pair x sample) elements; a displacement with more
-    than that is split across batches.
+    Sample k of a ray L cells long lies at fraction f = k / (4 L) of the way
+    between the two centres, in cell offset floor(0.5 + f * delta) on each
+    axis. A sample within _BOUNDARY_TOL of a cell boundary on either axis is
+    ambiguous. The others form runs of consecutive samples in one cell, and
+    runs in the source or the target cell are dropped. Nothing here depends
+    on the heights or the cell size.
+
+    Returns tables with one column per ray, padded with 0: the first and
+    the last k of each run, the offset of the run's cell from the source as
+    a flat index into rows of `width` cells, and the k of each ambiguous
+    sample.
+    """
+    lengths = np.hypot(drs, dcs) * LOS_SAMPLES_PER_CELL
+    counts = lengths.astype(np.intp)
+    ray = np.repeat(np.arange(len(drs)), counts)
+    k = np.arange(1, len(ray) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    frac = k / lengths[ray]
+    dr, dc = drs[ray], dcs[ray]
+    pos_r = frac * dr + 0.5
+    pos_c = frac * dc + 0.5
+    ambiguous = ((np.abs(pos_r - np.round(pos_r)) <= _BOUNDARY_TOL)
+                 | (np.abs(pos_c - np.round(pos_c)) <= _BOUNDARY_TOL))
+    row = np.floor(pos_r).astype(np.intp)
+    col = np.floor(pos_c).astype(np.intp)
+    keep = ~ambiguous & ((row != 0) | (col != 0)) & ((row != dr) | (col != dc))
+    # within one ray |col| < width, so equal flat offsets mean equal cells
+    ray_k, k_k, offset = ray[keep], k[keep], (row * width + col)[keep]
+    start = np.ones(len(k_k), bool)
+    start[1:] = (ray_k[1:] != ray_k[:-1]) | (offset[1:] != offset[:-1])
+    end = np.ones(len(k_k), bool)
+    end[:-1] = start[1:]
+    return (*_padded(len(drs), ray_k[start], k_k[start], k_k[end], offset[start]),
+            *_padded(len(drs), ray[ambiguous], k[ambiguous]))
+
+
+def _padded(count: int, rays: np.ndarray, *values: np.ndarray):
+    """One column per ray of each value array (grouped by ray, in order),
+    padded with 0."""
+    per_ray = np.bincount(rays, minlength=count)
+    at = (np.arange(len(rays)) - (np.cumsum(per_ray) - per_ray)[rays], rays)
+    tables = []
+    for v in values:
+        table = np.zeros((per_ray.max(initial=0), count), v.dtype)
+        table[at] = v
+        tables.append(table)
+    return tables
+
+
+def _ray_batches(height: int, width: int):
+    """Every pair of cells src < tgt, in batches, with the samples that
+    decide it.
+
+    A ray of displacement (dr, dc) crosses dr + |dc| cell boundaries, which
+    bounds both its runs and its ambiguous samples. Displacements are taken
+    in families of equal crossings, in increasing order, and consecutive
+    families are merged while their pairs fit in one batch of
+    _LOS_CHUNK_ELEMENTS evaluated samples. Each group is planned at once,
+    and its pairs are packed into batches of at most that size, rays with
+    ambiguous samples first so that few batches need the full rule. Yields
+    (src, tgt, ray, first, last, offset, ambiguous): the pairs, each pair's
+    column in the group's tables, and the tables from _ray_plans.
     """
     grid = np.arange(height * width).reshape(height, width)
     drs, dcs = np.mgrid[0:height, -(width - 1):width]
-    keep = (drs > 0) | (dcs > 0)
-    drs, dcs = drs[keep], dcs[keep]
-    lengths = np.hypot(drs, dcs)
-    srcs: list[np.ndarray] = []
-    tgts: list[np.ndarray] = []
-    count = 0
-    for i in np.argsort(lengths, kind="stable"):
-        dr, dc = int(drs[i]), int(dcs[i])
-        samples = int(lengths[i] * LOS_SAMPLES_PER_CELL) + 1
-        per_batch = max(1, _LOS_CHUNK_ELEMENTS // samples)
-        sources = grid[:height - dr, max(0, -dc):width - max(0, dc)].ravel()
-        for lo in range(0, len(sources), per_batch):
-            piece = sources[lo:lo + per_batch]
-            if count and (count + len(piece)) * samples > _LOS_CHUNK_ELEMENTS:
-                yield np.concatenate(srcs), np.concatenate(tgts)
-                srcs, tgts, count = [], [], 0
-            srcs.append(piece)
-            tgts.append(piece + (dr * width + dc))
-            count += len(piece)
-    if srcs:
-        yield np.concatenate(srcs), np.concatenate(tgts)
+    crossings = np.where((drs > 0) | (dcs > 0), drs + np.abs(dcs), 0)
+    pairs = (height - drs) * (width - np.abs(dcs))
+    family_pairs = np.bincount(crossings.ravel(), pairs.ravel()).astype(int).tolist()
+    lo = 1
+    while lo < len(family_pairs):
+        hi, count = lo + 1, family_pairs[lo]
+        while hi < len(family_pairs) and (count + family_pairs[hi]) * hi <= _LOS_CHUNK_ELEMENTS:
+            count += family_pairs[hi]
+            hi += 1
+        group = (crossings >= lo) & (crossings < hi)
+        dr, dc = drs[group], dcs[group]
+        tables = _ray_plans(dr, dc, width)
+        size = max(1, _LOS_CHUNK_ELEMENTS // (hi - 1))
+
+        def batch(pieces):
+            src = np.concatenate([piece for _, piece in pieces])
+            ray = np.repeat([j for j, _ in pieces], [len(piece) for _, piece in pieces])
+            return (src, src + (dr * width + dc)[ray], ray, *tables)
+
+        pieces, count = [], 0
+        for j in np.argsort(~tables[-1].any(axis=0), kind="stable").tolist():
+            r, c = int(dr[j]), int(dc[j])
+            sources = grid[:height - r, max(0, -c):width - max(0, c)].ravel()
+            for start in range(0, len(sources), size):
+                piece = sources[start:start + size]
+                if count + len(piece) > size:
+                    yield batch(pieces)
+                    pieces, count = [], 0
+                pieces.append((j, piece))
+                count += len(piece)
+        yield batch(pieces)
+        lo = hi
 
 
 def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     """All-pairs visibility as an ExposureField.
 
     Each unordered pair is sampled once, from its lower-indexed region, and
-    mirrored, so symmetry holds by construction. O(n^2) pairs with rays
-    O(sqrt(n)) samples long: on a 2-core Xeon (Python 3.11, numpy 2.4) a
-    30x30 map takes under a second, 50x50 about 11 s and 100x100 five to
-    nine minutes (cache it, see the mapio module).
+    mirrored, so symmetry holds by construction. The answer is bit-identical
+    to evaluating every quarter-cell sample with _visible_pairs, from one
+    sample per crossed cell plus the samples on a cell boundary.
+
+    Why one sample per cell suffices: along a ray, ks = k * step, ks / span,
+    that times dz, and that plus sz are each monotone in k in IEEE
+    arithmetic, so the ray height z is monotone along the ray, lowest at a
+    run's first sample when dz >= 0 and at its last when dz < 0. Within a
+    run the cell, and so the terrain height, is fixed; the run blocks if and
+    only if that one sample does, and the builder tests only it, in the
+    kernel's operation order. Off the boundaries a pair floors every sample
+    into its planned cell (see _BOUNDARY_TOL), so the cell index is the
+    source plus the planned offset. Boundary samples go through
+    _visible_pairs itself.
+
+    O(n^2) pairs with rays O(sqrt(n)) cells long: on a 2-core Xeon (Python
+    3.11, numpy 2.4) a 30x30 map takes 0.2-0.3 s, 50x50 about 2 s and
+    100x100 about a minute (cache it, see the mapio module).
     """
     n = env.n
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     ids = np.arange(n)
     packed[ids, ids >> 3] = (1 << (ids & 7)).astype(np.uint8)
-    work = _work_arrays(_LOS_CHUNK_ELEMENTS)
-    for src, tgt in _pair_batches(env.height, env.width):
-        seen = _visible_pairs(env, src, tgt, work)
+    pts = env.points
+    elev = env._elev_flat
+    step = env.cell_size / LOS_SAMPLES_PER_CELL
+    work = _work_arrays(max(_LOS_CHUNK_ELEMENTS, env.height + env.width))
+    for src, tgt, ray, first, last, offset, ambiguous in _ray_batches(env.height, env.width):
+        span = np.hypot(pts[tgt, 0] - pts[src, 0], pts[tgt, 1] - pts[src, 1])
+        sz = pts[src, 2]
+        dz = pts[tgt, 2] - sz
+        # one row per run, one column per pair: the per-pair operands then
+        # broadcast along contiguous rows
+        shape = (len(first), len(src))
+        size = shape[0] * shape[1]
+        z, ground, under, blocking = (work[i][:size].reshape(shape) for i in (0, 1, 3, 4))
+        # each pair's lowest sample of every run: the first when the ray
+        # climbs, the last when it falls. Padding (k = 0, offset 0) tests the
+        # source centre, which never blocks: sz is its elevation plus d >= 0.
+        # The indices are in range, so "clip" only lets take write into out.
+        ks = np.concatenate((first, last), axis=1) * step
+        np.take(ks, ray + first.shape[1] * (dz < 0), axis=1, out=z, mode="clip")
+        z /= span
+        z *= dz
+        z += sz
+        np.take(offset, ray, axis=1, out=under, mode="clip")
+        under += src
+        np.greater(np.take(elev, under, out=ground, mode="clip"), z, out=blocking)
+        seen = ~blocking.any(axis=0)
+        if len(ambiguous):
+            check = np.flatnonzero(seen & (ambiguous[0, ray] > 0))
+            if check.size:
+                seen[check] = _visible_pairs(env, src[check], tgt[check], work,
+                                             ambiguous[:, ray[check]].T * step)
         src, tgt = src[seen], tgt[seen]
         # a batch can hold several targets in one byte of a row: ufunc.at
         # applies every one, where a fancy-indexed |= would keep only the last
@@ -341,6 +472,35 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
 
 
 # -- exposure field ----------------------------------------------------------
+
+def _check_packed(packed: np.ndarray, n: int) -> None:
+    """Raise ValueError unless the (n, ceil(n/8)) bit matrix, little-endian
+    as ExposureField.to_packed writes it, is a valid exposure relation.
+
+    Checks, in this order: reflexivity, symmetry and no bits beyond column
+    n. Symmetry is checked one strip of _VALIDATE_ROWS rows at a time
+    against the matching strip of columns, so the check holds
+    O(_VALIDATE_ROWS * n) unpacked bits at once, never the n x n matrix.
+    """
+    ids = np.arange(n)
+    diagonal = (packed[ids, ids >> 3] >> (ids & 7)) & 1
+    if not diagonal.all():
+        bad = int(np.flatnonzero(diagonal == 0)[0])
+        raise ValueError(f"exposure relation not reflexive at region {bad}")
+
+    def strip(r0, r1, c0, c1):
+        raw = packed[r0:r1, c0 >> 3:(c1 + 7) >> 3]
+        return np.unpackbits(raw, axis=1, bitorder="little")[:, :c1 - c0]
+
+    for i0 in range(0, n, _VALIDATE_ROWS):
+        i1 = min(i0 + _VALIDATE_ROWS, n)
+        diff = strip(i0, i1, 0, n) != strip(0, n, i0, i1).T
+        if diff.any():
+            i, j = (int(v[0]) for v in np.nonzero(diff))
+            raise ValueError(f"exposure relation not symmetric at pair ({i + i0}, {j})")
+    if n & 7 and (packed[:, -1] >> (n & 7)).any():
+        raise ValueError("exposure row has bits beyond the region count")
+
 
 class ExposureField:
     """Symmetric, reflexive visibility relation over n regions.
@@ -412,36 +572,19 @@ class ExposureField:
 
     @classmethod
     def from_packed(cls, packed: np.ndarray, n: int, validate: bool = True) -> "ExposureField":
-        rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-        return cls(rows, validate=validate)
+        """Field from a to_packed() matrix, checked as packed when `validate`."""
+        if validate:
+            _check_packed(packed, n)
+        return cls([int.from_bytes(packed[i].tobytes(), "little") for i in range(n)])
 
     def validate(self) -> None:
-        """Check reflexivity and symmetry, raising ValueError on violation.
-
-        Symmetry is checked one strip of _VALIDATE_ROWS rows at a time
-        against the matching strip of columns, so the check holds
-        O(_VALIDATE_ROWS * n) unpacked bits at once, never the n x n matrix.
-        """
-        n = self.n
-        packed = self.to_packed()
-        ids = np.arange(n)
-        diagonal = (packed[ids, ids >> 3] >> (ids & 7)) & 1
-        if not diagonal.all():
-            bad = int(np.flatnonzero(diagonal == 0)[0])
-            raise ValueError(f"exposure relation not reflexive at region {bad}")
-
-        def strip(r0, r1, c0, c1):
-            raw = packed[r0:r1, c0 >> 3:(c1 + 7) >> 3]
-            return np.unpackbits(raw, axis=1, bitorder="little")[:, :c1 - c0]
-
-        for i0 in range(0, n, _VALIDATE_ROWS):
-            i1 = min(i0 + _VALIDATE_ROWS, n)
-            diff = strip(i0, i1, 0, n) != strip(0, n, i0, i1).T
-            if diff.any():
-                i, j = (int(v[0]) for v in np.nonzero(diff))
-                raise ValueError(f"exposure relation not symmetric at pair ({i + i0}, {j})")
-        if any(r >> n for r in self.rows):
-            raise ValueError("exposure row has bits beyond the region count")
+        """Raise ValueError unless the field is reflexive, symmetric and has
+        no bits beyond region n - 1 (see _check_packed)."""
+        try:
+            packed = self.to_packed()
+        except OverflowError:  # a row with bits past its last packed byte
+            raise ValueError("exposure row has bits beyond the region count") from None
+        _check_packed(packed, self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExposureField) and self.rows == other.rows

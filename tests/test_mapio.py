@@ -109,7 +109,7 @@ class TestFieldCache:
         load_or_compute_field(env, raw, tmp_path, use_cache=False)
         assert list(tmp_path.iterdir()) == []
 
-    def test_mismatched_cache_is_recomputed(self, tmp_path):
+    def test_mismatched_cache_is_recomputed(self, tmp_path, capsys):
         elev = np.zeros((2, 2))
         raw = format_heightmap(elev, 1.0).encode()
         env = build_environment(elev)
@@ -118,3 +118,5 @@ class TestFieldCache:
         field = load_or_compute_field(env, raw, tmp_path)
         assert field.n == env.n
         assert field == compute_exposure_field(env)
+        assert "warning: ignoring invalid field cache (exposure field covers 1 regions" \
+            in capsys.readouterr().err

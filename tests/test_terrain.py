@@ -1,14 +1,16 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (ExplicitGraph, ExposureField, build_environment,
-                         compute_exposure_field, line_of_sight, traversable)
-from stealthpath.terrain import (LOS_SAMPLES_PER_CELL, _VALIDATE_ROWS, _visible_pairs,
-                                 _work_arrays)
+from stealthpath import (DEFAULT_CELL_SIZE, ExplicitGraph, ExposureField,
+                         build_environment, compute_exposure_field, gen_boxes,
+                         gen_hills, line_of_sight, traversable)
+from stealthpath.terrain import (LOS_SAMPLES_PER_CELL, _VALIDATE_ROWS, _ray_plans,
+                                 _visible_pairs, _work_arrays)
 
 
 def reference_line_of_sight(elev, cell, d, a, b):
@@ -36,6 +38,29 @@ def reference_line_of_sight(elev, cell, d, a, b):
             return False
         k += 1
     return True
+
+
+def reference_exposure_field(env):
+    """The every-sample field builder, kept as the oracle for the one that
+    tests one sample per crossed cell: every pair i < j goes through
+    _visible_pairs with all its quarter-cell samples and is mirrored. Pairs
+    are grouped by displacement only for speed; the kernel's answer for a
+    pair does not depend on what else shares the call."""
+    height, width = env.height, env.width
+    grid = np.arange(env.n).reshape(height, width)
+    sees = np.eye(env.n, dtype=bool)
+    work = _work_arrays(1 << 16)
+    for dr in range(height):
+        for dc in range(-(width - 1), width):
+            if dr == 0 and dc <= 0:
+                continue
+            src = grid[:height - dr, max(0, -dc):width - max(0, dc)].ravel()
+            tgt = src + (dr * width + dc)
+            seen = _visible_pairs(env, src, tgt, work)
+            sees[src[seen], tgt[seen]] = True
+            sees[tgt[seen], src[seen]] = True
+    return ExposureField([int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                          for r in sees])
 
 
 class TestLineOfSight:
@@ -145,6 +170,46 @@ class TestExposureFieldConstruction:
         _, field = request.getfixturevalue(world)
         assert hashlib.sha256(field.to_packed().tobytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("size", [12, 20, 30])
+    @pytest.mark.parametrize("gen", [gen_boxes, gen_hills])
+    def test_matches_every_sample_builder_on_generated_maps(self, gen, size, seed):
+        env = build_environment(gen(seed, size), cell_size=DEFAULT_CELL_SIZE)
+        assert compute_exposure_field(env) == reference_exposure_field(env)
+
+    @pytest.mark.parametrize("cell", [0.1, 0.3, 10.0])
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_matches_every_sample_builder_on_rows_and_columns(self, cell, vertical):
+        # axis rays put a sample exactly on every cell boundary they cross,
+        # and whole-metre heights put many rays exactly at grazing height
+        rng = np.random.default_rng(int(10 * cell) + vertical)
+        for length in range(2, 61):
+            elev = np.round(rng.uniform(0.0, 4.0, (length, 1) if vertical else (1, length)))
+            env = build_environment(elev, cell_size=cell, d=1.0)
+            assert compute_exposure_field(env) == reference_exposure_field(env), length
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24),
+           st.sampled_from([0.1, 0.3, 1.0, 2.5, 10.0]), st.sampled_from([0.0, 1.0, 2.0]))
+    def test_matches_every_sample_builder_on_random_grids(self, seed, height, width, cell, d):
+        rng = np.random.default_rng(seed)
+        elev = rng.uniform(0.0, 4.0, (height, width))
+        if seed % 2:  # grazing rays, as in test_matches_reference_walker_on_every_pair
+            elev = np.round(elev)
+        env = build_environment(elev, cell_size=cell, d=d)
+        assert compute_exposure_field(env) == reference_exposure_field(env)
+
+    def test_ray_plan_leaves_boundary_samples_to_the_full_rule(self):
+        # an axis ray puts every sample k = 2 (mod 4) on a cell boundary, and
+        # (3, 4) puts its midpoint, k = 10, on a row boundary
+        first, last, offset, ambiguous = _ray_plans(np.array([0, 3]), np.array([5, 4]), 10)
+        assert ambiguous.T.tolist() == [[2, 6, 10, 14, 18], [10, 0, 0, 0, 0]]
+        # runs in the four cells between the ends of the axis ray, padded
+        # with 0 to the six runs of (3, 4)
+        assert first[:, 0].tolist() == [3, 7, 11, 15, 0, 0]
+        assert last[:, 0].tolist() == [5, 9, 13, 17, 0, 0]
+        assert offset[:, 0].tolist() == [1, 2, 3, 4, 0, 0]
+
     def test_kernel_answer_does_not_depend_on_work_arrays(self, boxes12):
         env, _ = boxes12
         src = np.zeros(env.n - 1, dtype=np.intp)
@@ -199,6 +264,25 @@ class TestExposureField:
     def test_validate_rejects_stray_bits(self):
         with pytest.raises(ValueError, match="beyond"):
             ExposureField([0b101, 0b010], validate=True)
+
+    def test_validate_rejects_bits_past_the_packed_row(self):
+        # bit 9 of a 2-region field does not fit its one-byte packed row
+        with pytest.raises(ValueError, match="beyond"):
+            ExposureField([0b1 | 1 << 9, 0b10], validate=True)
+
+    @pytest.mark.parametrize("rows", [
+        [0b01, 0b01],  # region 1 does not see itself
+        [0b011, 0b010, 0b101],  # 0 sees 1, 1 does not see 0
+        [0b101, 0b010],  # bit 2 of a 2-region field
+    ])
+    def test_from_packed_checks_the_packed_rows(self, rows):
+        # the cache loader's path: same check, message and first pair as validate
+        packed = np.array([[r] for r in rows], dtype=np.uint8)
+        with pytest.raises(ValueError) as direct:
+            ExposureField(rows, validate=True)
+        with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+            ExposureField.from_packed(packed, len(rows))
+        ExposureField.from_packed(packed, len(rows), validate=False)
 
     def test_members_and_scores(self):
         field = ExposureField([0b011, 0b111, 0b110])
