@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bitset import bit_indices, mask_from_indices
 from .terrain import check_field_matches
 
@@ -33,16 +35,20 @@ def exposed_set(field, path: Sequence[int]) -> int:
 
 
 def corridor(field, exposed: int) -> int:
-    """Bitset of regions whose exposure sets fit inside the exposed set."""
+    """Bitset of regions whose exposure sets fit inside the exposed set.
+
+    One vectorised test on the field's packed view: row i fits when no byte
+    of row & ~K is non-zero. Bits of `exposed` past the packed width cannot
+    meet any row and are dropped before K is packed.
+    """
     if exposed == 0:
         raise ValueError("exposed set is empty")
-    out = 0
-    bit = 1
-    for row in field.rows:
-        if row & ~exposed == 0:
-            out |= bit
-        bit <<= 1
-    return out
+    packed = field.to_packed()
+    nbytes = packed.shape[1]
+    k = (exposed & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
+    outside = ~np.frombuffer(k, dtype=np.uint8)
+    fits = ~(packed & outside).any(axis=1)
+    return int.from_bytes(np.packbits(fits, bitorder="little").tobytes(), "little")
 
 
 def average_width(corridor_mask: int, path: Sequence[int]) -> float:

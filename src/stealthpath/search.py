@@ -22,6 +22,14 @@ the gap to plan_exact is exactly what the benchmarks measure.
 
 All ties are broken on (f, h, region, insertion order), so identical queries
 return identical paths.
+
+Inner loops read field.rows and env.adjacency once per query, with no
+per-neighbour range check. The binary and saturation planners build a
+node's accumulator or counter state only when it is expanded, from its
+parent's. Set differences use positive ints only: x ^ (x & y) for x & ~y,
+and |x| - |x & y| for its size, the same integers. ~y is negative, and
+x & ~y takes CPython's two's-complement path: about 290 ns against 130 ns
+for x ^ (x & y) on 1600-bit rows (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corridor import exposed_set
 from .terrain import check_field_matches, traversable
 
 FOUND = "found"
@@ -65,12 +74,7 @@ class PlanResult:
 
 def obj_bin(field, path: Sequence[int]) -> int:
     """Number of distinct regions exposed anywhere along the path."""
-    if len(path) == 0:
-        raise ValueError("empty path")
-    acc = 0
-    for r in path:
-        acc |= field.exposure_set(r)
-    return acc.bit_count()
+    return exposed_set(field, path).bit_count()
 
 
 def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
@@ -83,10 +87,15 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     if len(path) == 0:
         raise ValueError("empty path")
     tau = _check_tau(tau)
-    counts = np.zeros(field.n, dtype=np.int64)
-    for r in path:
-        counts[field.members(r)] += 1
-        counts[r] += tau - 1
+    n = field.n
+    idx = np.asarray(path, dtype=np.intp)
+    if idx.min() < 0 or idx.max() >= n:
+        bad = int(idx[(idx < 0) | (idx >= n)][0])
+        raise IndexError(f"region {bad} outside [0, {n})")
+    bits = np.unpackbits(field.to_packed()[idx], axis=1, count=n, bitorder="little")
+    counts = bits.sum(axis=0, dtype=np.int64)
+    # add.at, not +=: a region the path occupies twice gains tau - 1 twice
+    np.add.at(counts, idx, tau - 1)
     return counts
 
 
@@ -176,22 +185,24 @@ def _astar_region(env, s, g, step_cost, h):
     back from the goal always matches the g it was queued with, even when an
     inconsistent heuristic forces reopening.
     """
+    adj = env.adjacency
     hs = h(s)
     heap = [(hs, hs, s, 0)]
     nodes = [(s, -1, 0.0)]
-    best_g = {s: 0.0}
+    best_g = [math.inf] * env.n
+    best_g[s] = 0.0
     expansions = 0
     while heap:
         f, hr, region, idx = heapq.heappop(heap)
         gg = nodes[idx][2]
-        if gg > best_g.get(region, math.inf):
+        if gg > best_g[region]:
             continue
         expansions += 1
         if region == g:
             return _walk_nodes(nodes, idx), gg, expansions
-        for nb in env.neighbors(region):
+        for nb in adj[region]:
             ng = gg + step_cost(region, nb)
-            if ng < best_g.get(nb, math.inf):
+            if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = h(nb)
                 nodes.append((nb, idx, ng))
@@ -202,9 +213,10 @@ def _astar_region(env, s, g, step_cost, h):
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
     """A* minimizing newly exposed regions.
 
-    Nodes carry the accumulator of everything the path has exposed so far;
-    stepping into b costs the accumulator growth plus m, a movement cost
-    small enough (m < 1/n) that no amount of walking outweighs one exposure.
+    Nodes carry the accumulator of everything the path has exposed so far,
+    built when the node is expanded; stepping into b costs the accumulator
+    growth, |E(b)| - |E(b) & acc|, plus m, a movement cost small enough
+    (m < 1/n) that no amount of walking outweighs one exposure.
     Heuristic: goal exposures not yet in the accumulator.
     """
     _check_query(env, field, s, g)
@@ -214,30 +226,41 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
         raise ValueError(f"m must be in (0, 1/n); got {m} with n = {env.n}")
     t0 = time.perf_counter()
 
-    goal_set = field.exposure_set(g)
-    acc0 = field.exposure_set(s)
-    h0 = (goal_set & ~acc0).bit_count()
-    # heap rows: (f, h, region, seq); node rows: (region, parent_idx, g, accumulator)
+    rows, counts, adj = field.rows, field._counts, env.adjacency
+    goal_set = rows[g]
+    acc0 = rows[s]
+    h0 = (goal_set ^ (goal_set & acc0)).bit_count()
+    # heap rows: (f, h, region, seq); node rows: (region, parent_idx, g).
+    # A node's accumulator is built when it is expanded, from its parent's.
     heap = [(float(h0), float(h0), s, 0)]
-    nodes = [(s, -1, 0.0, acc0)]
-    best_g = {s: 0.0}
+    nodes = [(s, -1, 0.0)]
+    acc_of = {0: acc0}
+    best_g = [math.inf] * env.n
+    best_g[s] = 0.0
     expansions = 0
     while heap:
         f, hr, region, idx = heapq.heappop(heap)
-        _, parent_idx, gg, acc = nodes[idx]
-        if gg > best_g.get(region, math.inf):
+        _, parent_idx, gg = nodes[idx]
+        if gg > best_g[region]:
             continue
+        acc = acc_of.get(idx)
+        if acc is None:
+            acc = acc_of[parent_idx] | rows[region]
+            acc_of[idx] = acc
         expansions += 1
         if region == g:
             return _finish("binary", (_walk_nodes(nodes, idx), gg, expansions),
                            s, g, t0, {"m": m})
-        for nb in env.neighbors(region):
-            nacc = acc | field.exposure_set(nb)
-            ng = gg + (nacc.bit_count() - acc.bit_count()) + m
-            if ng < best_g.get(nb, math.inf):
+        # goal regions the accumulator has not exposed yet
+        left = goal_set ^ (goal_set & acc)
+        nleft = left.bit_count()
+        for nb in adj[region]:
+            row = rows[nb]
+            ng = gg + (counts[nb] - (row & acc).bit_count()) + m
+            if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = float((goal_set & ~nacc).bit_count())
-                nodes.append((nb, idx, ng, nacc))
+                hn = float(nleft - (left & row).bit_count())
+                nodes.append((nb, idx, ng))
                 heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
     return _finish("binary", (None, expansions), s, g, t0, {"m": m})
 
@@ -261,7 +284,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     _check_p(p_success)
     t0 = time.perf_counter()
     unit = -math.log10(p_success)
-    rows = field.rows
+    rows, counts, adj = field.rows, field._counts, env.adjacency
 
     empty = ((0,) * tau.bit_length(), 0)
     h0 = env.manhattan3(s, g) * tau * unit
@@ -270,12 +293,13 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     heap = [(h0, h0, s, 0)]
     nodes = [(s, -1, 0.0)]
     state_of = {0: _saturation_advance(rows, empty, s, tau)}
-    best_g = {s: 0.0}
+    best_g = [math.inf] * env.n
+    best_g[s] = 0.0
     expansions = 0
     while heap:
         f, hr, region, idx = heapq.heappop(heap)
         _, parent_idx, gg = nodes[idx]
-        if gg > best_g.get(region, math.inf):
+        if gg > best_g[region]:
             continue
         state = state_of.get(idx)
         if state is None:
@@ -285,9 +309,9 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
         if region == g:
             return _finish("saturation", (_walk_nodes(nodes, idx), gg, expansions),
                            s, g, t0, {"tau": tau, "p_success": p_success})
-        for nb in env.neighbors(region):
-            ng = gg + _saturation_delta(rows, state, nb, tau) * unit
-            if ng < best_g.get(nb, math.inf):
+        for nb in adj[region]:
+            ng = gg + _saturation_delta(rows, counts, state, nb, tau) * unit
+            if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = env.manhattan3(nb, g) * tau * unit
                 nodes.append((nb, idx, ng))
@@ -299,13 +323,14 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
 # A saturation state is (slices, sat). Bit i of slices[k] is bit k of
 # min(c_i, tau), where c_i counts the sightings of region i; sat holds the
 # regions whose clamped count has reached tau. "Regions below tau among a
-# row" is then one popcount of row & ~sat.
+# row" is then row ^ (row & sat), and its size |row| - |row & sat|.
 
 def _saturation_advance(rows, state, region: int, tau: int):
     """State after a step into region: every unsaturated region it exposes
     gains one sighting, and region itself saturates (fields are reflexive)."""
     slices, sat = state
-    carry = reached = rows[region] & ~sat
+    row = rows[region]
+    carry = reached = row ^ (row & sat)
     bit = 1 << region
     out = []
     for k, s in enumerate(slices):
@@ -317,16 +342,17 @@ def _saturation_advance(rows, state, region: int, tau: int):
             reached &= s
             out.append(s | bit)
         else:
-            reached &= ~s
-            out.append(s & ~bit)
+            reached ^= reached & s
+            out.append(s ^ (s & bit))
     return tuple(out), sat | reached | bit
 
 
-def _saturation_delta(rows, state, dest: int, tau: int) -> int:
+def _saturation_delta(rows, counts, state, dest: int, tau: int) -> int:
     """Growth of sum(min(c, tau)) for a step into dest: +1 per unsaturated
-    region it exposes, and dest itself jumps straight to tau."""
+    region it exposes, and dest itself jumps straight to tau. counts[dest]
+    is the size of rows[dest]."""
     slices, sat = state
-    below = (rows[dest] & ~sat).bit_count()
+    below = counts[dest] - (rows[dest] & sat).bit_count()
     if sat >> dest & 1:
         return below
     c = 0
@@ -349,7 +375,8 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
 
     slices = tuple(mask(clamped >> k & 1) for k in range(tau.bit_length()))
     state = (slices, mask(clamped == tau))
-    return _saturation_delta(field.rows, state, dest, tau) * -math.log10(p_success)
+    delta = _saturation_delta(field.rows, field._counts, state, dest, tau)
+    return delta * -math.log10(p_success)
 
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
@@ -379,8 +406,9 @@ def plan_exact(env, field, s: int, g: int,
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     t0 = time.perf_counter()
 
-    goal_set = field.exposure_set(g)
-    eps0 = field.exposure_set(s)
+    rows, adj = field.rows, env.adjacency
+    goal_set = rows[g]
+    eps0 = rows[s]
     f0 = (eps0 | goal_set).bit_count()
     # node rows: (region, parent_idx, visited bitset, exposed bitset)
     heap = [(f0, f0 - eps0.bit_count(), s, 0)]
@@ -397,7 +425,7 @@ def plan_exact(env, field, s: int, g: int,
             return PlanResult("exact", BUDGET_EXCEEDED, s, g, None, None, expansions,
                               time.perf_counter() - t0, {"node_budget": node_budget})
         expansions += 1
-        for nb in env.neighbors(region):
+        for nb in adj[region]:
             bit = 1 << nb
             if visited & bit:
                 continue
@@ -406,7 +434,7 @@ def plan_exact(env, field, s: int, g: int,
             if key in seen:
                 continue
             seen.add(key)
-            neps = eps | field.exposure_set(nb)
+            neps = eps | rows[nb]
             cost = neps.bit_count()
             nf = (neps | goal_set).bit_count()
             nodes.append((nb, idx, nvis, neps))

@@ -97,7 +97,9 @@ class GridEnvironment:
                         adj.append(j)
             adj.sort()
             nbrs.append(tuple(adj))
-        self._neighbors = tuple(nbrs)
+        # adjacency[r]: sorted traversable neighbours of region r. Planners
+        # read it once per query; neighbors() is the range-checked accessor.
+        self.adjacency = tuple(nbrs)
 
     # -- region bookkeeping ------------------------------------------------
 
@@ -116,7 +118,7 @@ class GridEnvironment:
 
     def neighbors(self, region: int) -> tuple[int, ...]:
         self._check(region)
-        return self._neighbors[region]
+        return self.adjacency[region]
 
     # -- heuristic support -------------------------------------------------
 
@@ -155,7 +157,7 @@ class ExplicitGraph:
             adj[a].add(b)
             adj[b].add(a)
         self.n = n
-        self._neighbors = tuple(tuple(sorted(s)) for s in adj)
+        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
         if points is not None:
             points = np.asarray(points, dtype=np.float64)
             if points.shape != (n, 3):
@@ -166,7 +168,7 @@ class ExplicitGraph:
     def neighbors(self, region: int) -> tuple[int, ...]:
         if not (0 <= region < self.n):
             raise IndexError(f"region {region} outside [0, {self.n})")
-        return self._neighbors[region]
+        return self.adjacency[region]
 
     def min_steps(self, a: int, b: int) -> int:
         return 0
@@ -467,8 +469,8 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
         # applies every one, where a fancy-indexed |= would keep only the last
         np.bitwise_or.at(packed, (src, tgt >> 3), (1 << (tgt & 7)).astype(np.uint8))
         np.bitwise_or.at(packed, (tgt, src >> 3), (1 << (src & 7)).astype(np.uint8))
-    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    return ExposureField(rows)
+    packed.setflags(write=False)
+    return ExposureField.from_packed(packed, n, validate=False)
 
 
 # -- exposure field ----------------------------------------------------------
@@ -507,9 +509,14 @@ class ExposureField:
 
     Row i is an int bitset of every region sharing line of sight with i,
     including i itself. Exposure scores therefore live in [1/n, 1].
+
+    The int rows are the storage the planners read. The one derived view is
+    the packed (n, ceil(n/8)) uint8 matrix of to_packed(), read-only, taken
+    as given from compute_exposure_field and from_packed or else built on
+    first use. members() unpacks one row of it per call and keeps nothing.
     """
 
-    __slots__ = ("n", "rows", "_counts", "_scores", "_members")
+    __slots__ = ("n", "rows", "_counts", "_scores", "_packed")
 
     def __init__(self, rows: Sequence[int], validate: bool = False):
         self.n = len(rows)
@@ -519,7 +526,7 @@ class ExposureField:
         self.rows = tuple(int(r) for r in rows)
         self._counts = tuple(r.bit_count() for r in self.rows)
         self._scores = None
-        self._members: dict[int, np.ndarray] = {}
+        self._packed = None
         if validate:
             self.validate()
 
@@ -552,30 +559,35 @@ class ExposureField:
         return float(min(self._counts)) / self.n
 
     def members(self, region: int) -> np.ndarray:
-        """Visible regions as a sorted index array (cached per region)."""
+        """Visible regions as a sorted index array."""
         self._check(region)
-        got = self._members.get(region)
-        if got is None:
-            nbytes = (self.n + 7) // 8
-            raw = np.frombuffer(self.rows[region].to_bytes(nbytes, "little"), dtype=np.uint8)
-            got = np.flatnonzero(np.unpackbits(raw, bitorder="little")[:self.n])
-            self._members[region] = got
-        return got
+        bits = np.unpackbits(self.to_packed()[region], count=self.n, bitorder="little")
+        return np.flatnonzero(bits)
 
     def to_packed(self) -> np.ndarray:
-        """Rows as a (n, ceil(n/8)) uint8 matrix, little-endian bit order."""
-        nbytes = (self.n + 7) // 8
-        out = np.empty((self.n, nbytes), dtype=np.uint8)
-        for i, row in enumerate(self.rows):
-            out[i] = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return out
+        """Rows as a read-only (n, ceil(n/8)) uint8 matrix, little-endian bit
+        order. Raises OverflowError for a row with bits past its last byte."""
+        if self._packed is None:
+            nbytes = (self.n + 7) // 8
+            raw = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
+            self._packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes)
+        return self._packed
 
     @classmethod
     def from_packed(cls, packed: np.ndarray, n: int, validate: bool = True) -> "ExposureField":
-        """Field from a to_packed() matrix, checked as packed when `validate`."""
+        """Field from a to_packed() matrix, checked as packed when `validate`.
+        The matrix becomes the field's packed view; a writable one is copied
+        first, so later writes by the caller cannot reach the field."""
         if validate:
             _check_packed(packed, n)
-        return cls([int.from_bytes(packed[i].tobytes(), "little") for i in range(n)])
+        raw, width = packed.tobytes(), packed.shape[1]
+        field = cls([int.from_bytes(raw[i:i + width], "little")
+                     for i in range(0, n * width, width)])
+        if packed.flags.writeable:
+            packed = packed.copy()
+            packed.setflags(write=False)
+        field._packed = packed
+        return field
 
     def validate(self) -> None:
         """Raise ValueError unless the field is reflexive, symmetric and has

@@ -8,6 +8,24 @@ from stealthpath import (ExposureField, average_width, build_corridor, corridor,
 from stealthpath.bitset import bit_indices, mask_from_indices
 
 
+def reference_corridor(field, exposed):
+    """The int-loop corridor, frozen as the oracle for the packed one."""
+    out = 0
+    bit = 1
+    for row in field.rows:
+        if row & ~exposed == 0:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def random_field(rng, n, density):
+    sees = rng.random((n, n)) < density
+    sees = sees | sees.T | np.eye(n, dtype=bool)
+    return ExposureField([mask_from_indices(np.flatnonzero(row)) for row in sees],
+                         validate=True)
+
+
 def random_c_walk(env, mask, start, rng, steps=40):
     """Random walk that refuses to leave the corridor."""
     walk = [start]
@@ -66,6 +84,39 @@ class TestCorridor:
     def test_empty_k_rejected(self, boxes12):
         with pytest.raises(ValueError, match="empty"):
             corridor(boxes12[1], 0)
+
+    @pytest.mark.parametrize("n", [1, 5, 8, 13, 16, 63, 64, 65, 90, 144])
+    def test_matches_int_loop_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.02, 0.1, 0.4):
+            field = random_field(rng, n, density)
+            for size in {1, max(1, n // 3), max(1, n - 2), n}:
+                k = mask_from_indices(int(v) for v in rng.choice(n, size, replace=False))
+                assert corridor(field, k) == reference_corridor(field, k), (n, density, k)
+
+    def test_matches_int_loop_oracle_on_path_exposures(self, boxes12, hills20):
+        for env, field in (boxes12, hills20):
+            rng = np.random.default_rng(env.n)
+            for _ in range(15):
+                s, g = (int(v) for v in rng.integers(0, env.n, 2))
+                res = plan_binary(env, field, s, g)
+                if res.path is not None:
+                    k = exposed_set(field, res.path)
+                    assert corridor(field, k) == reference_corridor(field, k)
+
+    @pytest.mark.parametrize("n", [5, 8, 13])
+    def test_bits_past_the_region_count_are_ignored(self, n):
+        # bits at or past n meet no row; bits past the packed width would
+        # make a bare k.to_bytes(ceil(n/8)) raise OverflowError
+        rng = np.random.default_rng(n)
+        field = random_field(rng, n, 0.3)
+        nbytes = (n + 7) // 8
+        for size in range(1, n + 1):
+            k = mask_from_indices(int(v) for v in rng.choice(n, size, replace=False))
+            want = reference_corridor(field, k)
+            for extra in {n, 8 * nbytes - 1, 8 * nbytes, 8 * nbytes + 9, 300} - set(range(n)):
+                assert corridor(field, k | 1 << extra) == want, (k, extra)
+            assert corridor(field, k | ~((1 << n) - 1)) == want
 
 
 class TestAverageWidth:

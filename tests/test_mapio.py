@@ -53,6 +53,14 @@ class TestExposureFieldFile:
         save_exposure_field(p, load_exposure_field(p))
         assert p.read_bytes() == first
 
+    def test_loaded_field_keeps_the_file_rows_as_its_packed_view(self, tmp_path, boxes12):
+        _, field = boxes12
+        p = tmp_path / "f.expf"
+        save_exposure_field(p, field)
+        loaded = load_exposure_field(p)
+        assert loaded._packed is not None  # validated as read, never repacked
+        assert loaded.to_packed().tobytes() == p.read_bytes()[8:]
+
     def test_magic_and_layout(self, tmp_path):
         field = ExposureField([0b01 | 0b10, 0b11])
         p = tmp_path / "f.expf"

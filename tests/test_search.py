@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from stealthpath import (BUDGET_EXCEEDED, FOUND, NO_PATH, ExplicitGraph,
                          ExposureField, build_environment,
-                         compute_exposure_field, lemma1_fixture, obj_acc,
-                         obj_bin, path_counts, plan_binary, plan_ess,
+                         compute_exposure_field, exposed_set, lemma1_fixture,
+                         obj_acc, obj_bin, path_counts, plan_binary, plan_ess,
                          plan_exact, plan_saturation, plan_shortest,
                          result_record, validate_path)
 from stealthpath.search import binary_step_cost, saturation_step_cost
@@ -90,6 +90,62 @@ def reference_plan_saturation(env, field, s, g, tau, p_success=0.95):
     return None, None, expansions, NO_PATH
 
 
+def reference_plan_binary(env, field, s, g, m=None):
+    """The eager-accumulator plan_binary, frozen as the oracle for the lazy
+    one: every pushed node carries its accumulator, a step is priced as the
+    growth of acc | row, and the heuristic counts goal & ~acc.
+
+    Returns (path, cost, expansions, status).
+    """
+    if m is None:
+        m = 1.0 / (2 * env.n)
+    goal_set = field.exposure_set(g)
+    acc0 = field.exposure_set(s)
+    h0 = (goal_set & ~acc0).bit_count()
+    heap = [(float(h0), float(h0), s, 0)]
+    nodes = [(s, -1, 0.0, acc0)]
+    best_g = {s: 0.0}
+    expansions = 0
+    while heap:
+        f, hr, region, idx = heapq.heappop(heap)
+        _, parent_idx, gg, acc = nodes[idx]
+        if gg > best_g.get(region, math.inf):
+            continue
+        expansions += 1
+        if region == g:
+            path = []
+            while idx >= 0:
+                path.append(nodes[idx][0])
+                idx = nodes[idx][1]
+            return path[::-1], float(gg), expansions, FOUND
+        for nb in env.neighbors(region):
+            nacc = acc | field.exposure_set(nb)
+            ng = gg + (nacc.bit_count() - acc.bit_count()) + m
+            if ng < best_g.get(nb, math.inf):
+                best_g[nb] = ng
+                hn = float((goal_set & ~nacc).bit_count())
+                nodes.append((nb, idx, ng, nacc))
+                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
+    return None, None, expansions, NO_PATH
+
+
+def reference_path_counts(field, path, tau):
+    """The members-based path_counts, frozen as its oracle."""
+    counts = np.zeros(field.n, dtype=np.int64)
+    for r in path:
+        counts[field.members(r)] += 1
+        counts[r] += tau - 1
+    return counts
+
+
+def random_field(rng, n, density):
+    """Random reflexive, symmetric field over n regions."""
+    sees = rng.random((n, n)) < density
+    sees = sees | sees.T | np.eye(n, dtype=bool)
+    return ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees],
+                         validate=True)
+
+
 def random_world(seed, shape=(5, 5), max_step=1.0):
     rng = np.random.default_rng(seed)
     elev = rng.uniform(0.0, 3.0, shape)
@@ -104,6 +160,13 @@ class TestObjBin:
 
     def test_flat_single_region_sees_all(self, flat5):
         assert obj_bin(flat5[1], [12]) == 25
+
+    def test_is_the_size_of_the_exposed_set(self, boxes12):
+        _, field = boxes12
+        rng = np.random.default_rng(4)
+        for length in (1, 2, 7, 30):
+            walk = [int(v) for v in rng.integers(0, field.n, length)]
+            assert obj_bin(field, walk) == exposed_set(field, walk).bit_count()
 
     def test_union_dominates_members(self, boxes12):
         _, field = boxes12
@@ -155,6 +218,37 @@ class TestPathCounts:
         counts = path_counts(field, [3, 4], tau=5)
         assert counts[3] == 5 + 1  # occupied once, then seen once more
         assert counts[4] == 5 + 1
+
+    def test_repeated_region_counts_each_visit(self, flat5):
+        _, field = flat5
+        counts = path_counts(field, [3, 3, 4, 3], tau=5)
+        assert counts[3] == 3 * 5 + 1
+        assert counts[4] == 5 + 3
+
+    @pytest.mark.parametrize("bad", [-1, 25])
+    def test_region_out_of_range(self, flat5, bad):
+        _, field = flat5
+        with pytest.raises(IndexError, match=f"region {bad} outside"):
+            path_counts(field, [3, bad, 4], tau=2)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 90, 131])
+    def test_matches_members_oracle(self, n):
+        rng = np.random.default_rng(n)
+        field = random_field(rng, n, 0.3)
+        for tau in (1, 2, 5):
+            for length in (1, 2, 5, 40):
+                path = [int(v) for v in rng.integers(0, n, length)]
+                got = path_counts(field, path, tau)
+                want = reference_path_counts(field, path, tau)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (n, tau, path)
+
+    def test_planned_paths_match_members_oracle(self, boxes12):
+        env, field = boxes12
+        for s, g in random_queries(env, 10, 8):
+            path = plan_saturation(env, field, s, g, tau=3).path
+            if path is not None:
+                assert np.array_equal(path_counts(field, path, 3),
+                                      reference_path_counts(field, path, 3))
 
 
 class TestPlanShortest:
@@ -358,6 +452,56 @@ class TestSaturationMatchesCountArrayOracle:
     def test_random_grids(self, seed, shape, tau, p):
         env, field = random_world(seed, shape, max_step=float(seed % 3))
         assert_matches_oracle(env, field, random_queries(env, 6, seed), tau, p)
+
+
+def assert_binary_matches_oracle(env, field, queries, m=None):
+    for s, g in queries:
+        res = plan_binary(env, field, s, g, m=m)
+        want = reference_plan_binary(env, field, s, g, m)
+        assert (res.path, res.cost, res.expansions, res.status) == want, (s, g)
+
+
+class TestBinaryMatchesEagerOracle:
+    """plan_binary returns the frozen eager-accumulator planner's path, cost,
+    expansions and status exactly: lazy accumulators and positive-only
+    step pricing change no answer."""
+
+    @pytest.mark.parametrize("world, count", [
+        ("boxes12", 40), ("hills20", 25), ("boxes50", 12), ("hills50", 12),
+    ])
+    def test_maps(self, world, count, request):
+        env, field = request.getfixturevalue(world)
+        assert_binary_matches_oracle(env, field, random_queries(env, count, 5))
+
+    def test_explicit_movement_cost(self, boxes12):
+        env, field = boxes12
+        assert_binary_matches_oracle(env, field, random_queries(env, 10, 6),
+                                     m=1.0 / (3 * env.n))
+
+    @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_explicit_graph_past_one_machine_word(self, seed, with_points):
+        n = 90
+        rng = np.random.default_rng(seed)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(40)]
+        points = rng.uniform(0.0, 3.0, (n, 3)) if with_points else None
+        graph = ExplicitGraph(n, edges, points=points)
+        field = random_field(rng, n, 0.2)
+        queries = random_queries(graph, 12, seed) + [(0, n - 1), (n - 1, 3)]
+        assert_binary_matches_oracle(graph, field, queries)
+
+    def test_unreachable_goal(self):
+        graph = ExplicitGraph(12, [(i, i + 1) for i in range(5)])
+        field = random_field(np.random.default_rng(0), 12, 0.3)
+        assert_binary_matches_oracle(graph, field, [(0, 11), (11, 0), (2, 4)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1, 5), (3, 3), (4, 5), (6, 6), (2, 8), (9, 9)]))
+    def test_random_grids(self, seed, shape):
+        env, field = random_world(seed, shape, max_step=float(seed % 3))
+        assert_binary_matches_oracle(env, field, random_queries(env, 8, seed))
 
 
 class TestPlanExact:

@@ -292,6 +292,45 @@ class TestExposureField:
         assert field.exposure_score(1) == 1.0
         assert field.min_score() == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
+    def test_members_are_the_row_bits(self, n):
+        rng = np.random.default_rng(n)
+        sees = rng.random((n, n)) < 0.3
+        sees = sees | sees.T | np.eye(n, dtype=bool)
+        field = ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees])
+        for i in range(n):
+            assert np.array_equal(field.members(i), np.flatnonzero(sees[i]))
+
+    def test_to_packed_is_one_read_only_view(self, boxes12):
+        _, built = boxes12
+        field = ExposureField(built.rows)
+        packed = field.to_packed()
+        assert field.to_packed() is packed
+        assert not packed.flags.writeable
+        assert packed.shape == (field.n, (field.n + 7) // 8)
+        for i, row in enumerate(field.rows):
+            assert int.from_bytes(packed[i].tobytes(), "little") == row
+        assert np.array_equal(built.to_packed(), packed)
+
+    def test_builder_hands_its_matrix_to_the_field(self):
+        env = build_environment(gen_hills(5, 11), cell_size=DEFAULT_CELL_SIZE)
+        field = compute_exposure_field(env)
+        assert field._packed is not None  # no repacking from the int rows
+        assert not field._packed.flags.writeable
+        assert np.array_equal(field.to_packed(), ExposureField(field.rows).to_packed())
+
+    def test_from_packed_keeps_a_read_only_matrix(self, boxes12):
+        packed = ExposureField(boxes12[1].rows).to_packed()
+        assert ExposureField.from_packed(packed, len(packed)).to_packed() is packed
+
+    def test_from_packed_copies_a_writable_matrix(self):
+        packed = np.array([[0b011], [0b111], [0b110]], dtype=np.uint8)
+        field = ExposureField.from_packed(packed, 3)
+        packed[0, 0] = 0b111
+        assert field.rows == (0b011, 0b111, 0b110)
+        assert field.to_packed()[0, 0] == 0b011
+        assert not field.to_packed().flags.writeable
+
     def test_packed_round_trip(self, boxes12):
         _, field = boxes12
         again = ExposureField.from_packed(field.to_packed(), field.n)
