@@ -25,7 +25,8 @@ is within ``max_step``. A region is never traversable to itself.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +35,11 @@ LOS_SAMPLES_PER_CELL = 4
 # (pairs x evaluated samples) elements per batch of the field builder:
 # small enough that its scratch arrays stay in cache.
 _LOS_CHUNK_ELEMENTS = 25_000
+
+# pairs the field builder enumerates and certifies at once (rounded down to
+# whole batches): its per-pair arrays then stay well under glibc's mmap
+# threshold, as the batch arrays do
+_CERTIFY_PAIRS = 4096
 
 # rows per strip when ExposureField.validate checks symmetry; a multiple of
 # 8, so each strip of columns starts on a byte boundary of the packed rows
@@ -84,22 +90,18 @@ class GridEnvironment:
         self._point_list = pts.tolist()
         self._elev_flat = flat
 
-        offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-        nbrs = []
-        for i in range(self.n):
-            r, c = divmod(i, self.width)
-            adj = []
-            for dr, dc in offsets:
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < self.height and 0 <= cc < self.width:
-                    j = rr * self.width + cc
-                    if abs(flat[j] - flat[i]) <= self.max_step:
-                        adj.append(j)
-            adj.sort()
-            nbrs.append(tuple(adj))
+        # one column per offset; the offsets are in row-major order, so each
+        # cell's neighbours come out sorted
+        offsets = np.array(_OFFSETS_4 if connectivity == 4 else _OFFSETS_8)
+        nr, nc = rows[:, None] + offsets[:, 0], cols[:, None] + offsets[:, 1]
+        inside = (nr >= 0) & (nr < self.height) & (nc >= 0) & (nc < self.width)
+        nbr = np.where(inside, nr * self.width + nc, 0)
+        keep = inside & (np.abs(flat[nbr] - flat[:, None]) <= self.max_step)
+        found = nbr[keep].tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
         # adjacency[r]: sorted traversable neighbours of region r. Planners
         # read it once per query; neighbors() is the range-checked accessor.
-        self.adjacency = tuple(nbrs)
+        self.adjacency = tuple(tuple(found[a:b]) for a, b in zip([0] + ends, ends))
 
     # -- region bookkeeping ------------------------------------------------
 
@@ -162,6 +164,8 @@ class ExplicitGraph:
             points = np.asarray(points, dtype=np.float64)
             if points.shape != (n, 3):
                 raise ValueError(f"points must be ({n}, 3)")
+            if not np.isfinite(points).all():
+                raise ValueError("points must be finite")
         self.points = points
         self._point_list = None if points is None else points.tolist()
 
@@ -213,6 +217,16 @@ def traversable(env, a: int, b: int) -> bool:
 # 100x100, at least 2e-7 cells from one; any value in between gives the
 # same bytes.
 _BOUNDARY_TOL = 1e-9
+
+# The visible certificate compares terrain against min(sz, tz) minus this
+# fraction of M = max(|sz|, |tz|). A sample's height z = sz + frac * (tz -
+# sz), with frac = ks / span in [0, 1] since ks < span, takes three rounded
+# operations on values at most 2M in magnitude, each off by at most 2^-53
+# of that, so the computed z is at least min(sz, tz) - 6 * 2^-53 * M; taking
+# off the margin rounds by at most 2^-53 * M more. 2^-40 * M is over a
+# thousand times that at any finite magnitude. A cell within the margin
+# only goes on to the run test: a wide margin costs work, never bytes.
+_CERTIFY_MARGIN = 2.0 ** -40
 
 
 def _work_arrays(size: int):
@@ -356,25 +370,53 @@ def _padded(count: int, rays: np.ndarray, *values: np.ndarray):
     return tables
 
 
-def _ray_batches(height: int, width: int):
-    """Every pair of cells src < tgt, in batches, with the samples that
-    decide it.
+class _GroupPlan(NamedTuple):
+    """The rays of one group of displacements and the samples that decide
+    them; everything depends only on the grid shape. Per-ray arrays hold one
+    entry per ray, rays with ambiguous samples first (`mixed` of them)."""
+    pairs: int  # source cells over all rays of the group
+    batch: int  # pairs per run-test batch
+    chunk: int  # pairs enumerated and certified at once, a multiple of batch
+    starts: np.ndarray  # number of the ray's first pair in the group, per ray
+    ends: np.ndarray  # starts plus the ray's pairs
+    row_width: np.ndarray  # sources per grid row, per ray
+    first_col: np.ndarray  # column of the first source, per ray
+    shift: np.ndarray  # flat index of the target minus the source, per ray
+    corners: np.ndarray  # (4, rays) box-maximum table offsets, see _box_max_table
+    runs: np.ndarray  # kept runs, per ray
+    mixed: int
+    lows: np.ndarray  # (runs, 2 * rays): first k of each run, then last k
+    offset: np.ndarray  # (runs, rays) flat cell offset of each run
+    ambiguous: np.ndarray  # (samples, rays) k of each ambiguous sample
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """Integer array `a` in the smallest integer type that holds its values."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for kind in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32):
+        if np.iinfo(kind).min <= lo and hi <= np.iinfo(kind).max:
+            return a.astype(kind)
+    return a
+
+
+def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
+    """Every pair of cells src < tgt, as groups of ray displacements with
+    the samples that decide them.
 
     A ray of displacement (dr, dc) crosses dr + |dc| cell boundaries, which
     bounds both its runs and its ambiguous samples. Displacements are taken
     in families of equal crossings, in increasing order, and consecutive
     families are merged while their pairs fit in one batch of
-    _LOS_CHUNK_ELEMENTS evaluated samples. Each group is planned at once,
-    and its pairs are packed into batches of at most that size, rays with
-    ambiguous samples first so that few batches need the full rule. Yields
-    (src, tgt, ray, first, last, offset, ambiguous): the pairs, each pair's
-    column in the group's tables, and the tables from _ray_plans.
+    _LOS_CHUNK_ELEMENTS evaluated samples. Each group is planned at once
+    with _ray_plans, and its pairs are numbered ray by ray, rays with
+    ambiguous samples first so that few batches need the full rule.
     """
-    grid = np.arange(height * width).reshape(height, width)
     drs, dcs = np.mgrid[0:height, -(width - 1):width]
     crossings = np.where((drs > 0) | (dcs > 0), drs + np.abs(dcs), 0)
     pairs = (height - drs) * (width - np.abs(dcs))
     family_pairs = np.bincount(crossings.ravel(), pairs.ravel()).astype(int).tolist()
+    levels = width.bit_length()
+    plans = []
     lo = 1
     while lo < len(family_pairs):
         hi, count = lo + 1, family_pairs[lo]
@@ -382,28 +424,91 @@ def _ray_batches(height: int, width: int):
             count += family_pairs[hi]
             hi += 1
         group = (crossings >= lo) & (crossings < hi)
-        dr, dc = drs[group], dcs[group]
-        tables = _ray_plans(dr, dc, width)
-        size = max(1, _LOS_CHUNK_ELEMENTS // (hi - 1))
-
-        def batch(pieces):
-            src = np.concatenate([piece for _, piece in pieces])
-            ray = np.repeat([j for j, _ in pieces], [len(piece) for _, piece in pieces])
-            return (src, src + (dr * width + dc)[ray], ray, *tables)
-
-        pieces, count = [], 0
-        for j in np.argsort(~tables[-1].any(axis=0), kind="stable").tolist():
-            r, c = int(dr[j]), int(dc[j])
-            sources = grid[:height - r, max(0, -c):width - max(0, c)].ravel()
-            for start in range(0, len(sources), size):
-                piece = sources[start:start + size]
-                if count + len(piece) > size:
-                    yield batch(pieces)
-                    pieces, count = [], 0
-                pieces.append((j, piece))
-                count += len(piece)
-        yield batch(pieces)
+        first, last, offset, ambiguous = _ray_plans(drs[group], dcs[group], width)
+        order = np.argsort(~ambiguous.any(axis=0), kind="stable")
+        dr, dc = drs[group][order], dcs[group][order]
+        first, last, offset, ambiguous = (t[:, order] for t in (first, last, offset, ambiguous))
+        row_width = width - np.abs(dc)
+        ray_pairs = (height - dr) * row_width
+        # the ray's bounding box: rows [0, dr] and columns [min(0, dc),
+        # max(0, dc)] from the source, covered by four windows of 2^a rows
+        # and 2^b columns at its corners
+        a = np.frexp(dr + 1)[1] - 1  # floor(log2)
+        b = np.frexp(np.abs(dc) + 1)[1] - 1
+        left = np.minimum(dc, 0)
+        bottom = (dr + 1 - (1 << a)) * width
+        right = left + np.abs(dc) + 1 - (1 << b)
+        level = (a * levels + b) * (height * width)
+        corners = np.stack((level + left, level + right,
+                            level + bottom + left, level + bottom + right))
+        batch = max(1, _LOS_CHUNK_ELEMENTS // (hi - 1))
+        # tables that are only read through gathers are stored compact; the
+        # pair numbers take part in arithmetic and stay intp
+        tables = dict(row_width=row_width, first_col=np.maximum(-dc, 0),
+                      shift=dr * width + dc, corners=corners, runs=(first > 0).sum(axis=0),
+                      lows=np.concatenate((first, last), axis=1), offset=offset,
+                      ambiguous=ambiguous)
+        plans.append(_GroupPlan(count, batch, batch * max(1, _CERTIFY_PAIRS // batch),
+                                np.cumsum(ray_pairs) - ray_pairs, np.cumsum(ray_pairs),
+                                mixed=int(ambiguous.any(axis=0).sum()),
+                                **{key: _compact(t) for key, t in tables.items()}))
         lo = hi
+    return tuple(plans)
+
+
+# The group plans of the most recent grid shape, as ((height, width),
+# plans). One shape at most: a build of another shape replaces it, so the
+# cache never holds more than one shape's tables, 0.26 MB at 30x30, 1.2 MB
+# at 50x50 and 13 MB at 100x100.
+_plan_cache = None
+
+
+def _shape_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
+    """_group_plans(height, width), planned once for repeated builds of one
+    shape. The plans are never written to, so builds may share them."""
+    global _plan_cache
+    cached = _plan_cache
+    if cached is None or cached[0] != (height, width):
+        _plan_cache = None  # drop the old shape's tables before planning
+        cached = ((height, width), _group_plans(height, width))
+        _plan_cache = cached
+    return cached[1]
+
+
+def _box_max_table(elev: np.ndarray) -> np.ndarray:
+    """Sparse table of window maxima (Bender & Farach-Colton 2000), flat.
+
+    Entry (a, b, r, c), at ((a * B + b) * height + r) * width + c with
+    B = width.bit_length(), is the highest cell of the window of 2^a rows
+    and 2^b columns at (r, c), cut at the grid's edge. Four windows at the
+    corners of any box give its maximum.
+    """
+    height, width = elev.shape
+    table = np.empty((height.bit_length(), width.bit_length(), height, width))
+    table[0, 0] = elev
+    for a in range(1, table.shape[0]):
+        half = 1 << (a - 1)
+        table[a, 0] = table[a - 1, 0]
+        np.maximum(table[a - 1, 0, :-half], table[a - 1, 0, half:], out=table[a, 0, :-half])
+    for b in range(1, table.shape[1]):
+        half = 1 << (b - 1)
+        table[:, b] = table[:, b - 1]
+        np.maximum(table[:, b - 1, :, :-half], table[:, b - 1, :, half:],
+                   out=table[:, b, :, :-half])
+    return table.ravel()
+
+
+@dataclass(frozen=True)
+class BuildStats:
+    """Work counts of one compute_exposure_field call: the pairs src < tgt,
+    those the box certificate decided and those that went to the run test,
+    the run samples those pairs tested and the boundary samples sent through
+    the full rule. certified_pairs + run_tested_pairs == pairs."""
+    pairs: int
+    certified_pairs: int
+    run_tested_pairs: int
+    run_samples: int
+    boundary_samples: int
 
 
 def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
@@ -411,66 +516,137 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
 
     Each unordered pair is sampled once, from its lower-indexed region, and
     mirrored, so symmetry holds by construction. The answer is bit-identical
-    to evaluating every quarter-cell sample with _visible_pairs, from one
-    sample per crossed cell plus the samples on a cell boundary.
+    to evaluating every quarter-cell sample with _visible_pairs; the builder
+    gets there in three stages, cheapest first.
 
-    Why one sample per cell suffices: along a ray, ks = k * step, ks / span,
-    that times dz, and that plus sz are each monotone in k in IEEE
-    arithmetic, so the ray height z is monotone along the ray, lowest at a
-    run's first sample when dz >= 0 and at its last when dz < 0. Within a
-    run the cell, and so the terrain height, is fixed; the run blocks if and
-    only if that one sample does, and the builder tests only it, in the
-    kernel's operation order. Off the boundaries a pair floors every sample
-    into its planned cell (see _BOUNDARY_TOL), so the cell index is the
-    source plus the planned offset. Boundary samples go through
-    _visible_pairs itself.
+    Visible certificate. Every sample of a pair lies in a cell of the box
+    spanned by its two endpoint cells, and its ray height z lies between the
+    endpoint heights up to rounding (_CERTIFY_MARGIN). So a pair whose box,
+    read from a sparse table of window maxima in four lookups, lies strictly
+    below min(sz, tz) minus the margin is visible, and is never run-tested.
+
+    Run test. Along a ray, ks = k * step, ks / span, that times dz, and that
+    plus sz are each monotone in k in IEEE arithmetic, so the ray height z
+    is monotone along the ray, lowest at a run's first sample when dz >= 0
+    and at its last when dz < 0. Within a run the cell, and so the terrain
+    height, is fixed; the run blocks if and only if that one sample does,
+    and the builder tests only it, in the kernel's operation order. Off the
+    boundaries a pair floors every sample into its planned cell (see
+    _BOUNDARY_TOL), so the cell index is the source plus the planned offset.
+
+    Boundary samples of pairs still visible go through _visible_pairs.
+
+    The ray plans behind all three stages depend only on the grid shape and
+    are kept for the most recent shape (_shape_plans), so repeated builds of
+    one shape plan once; planning takes about 30 ms at 30x30. The field
+    carries the work counts as `build_stats` (BuildStats).
 
     O(n^2) pairs with rays O(sqrt(n)) cells long: on a 2-core Xeon (Python
-    3.11, numpy 2.4) a 30x30 map takes 0.2-0.3 s, 50x50 about 2 s and
-    100x100 about a minute (cache it, see the mapio module).
+    3.11, numpy 2.4) a 30x30 map takes about 0.15 s, where the certificate
+    decides 36-53% of the pairs; 50x50 about 1.8 s (20-25%) and 100x100
+    about a minute (8%). Cache the field, see the mapio module.
     """
     n = env.n
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
     ids = np.arange(n)
     packed[ids, ids >> 3] = (1 << (ids & 7)).astype(np.uint8)
+    stats = _add_visible_pairs(env, packed)
+    packed.setflags(write=False)
+    field = ExposureField.from_packed(packed, n, validate=False)
+    field.build_stats = stats
+    return field
+
+
+def _certified_pairs(plan: _GroupPlan, start: int, stop: int, width: int,
+                     heights: np.ndarray, box_max: np.ndarray):
+    """Pairs start..stop-1 of a group as (src, tgt, ray, sz, tz, certified):
+    ray is each pair's column in the plan, sz and tz the heights of its
+    ends, and certified whether the box certificate proves it visible. Its
+    other arrays go when it returns, which keeps the builder's peak down."""
+    ray = np.repeat(np.arange(len(plan.starts)), np.clip(plan.ends, start, stop)
+                    - np.clip(plan.starts, start, stop))
+    # pair p of the group is source number p - starts[ray] of its ray; the
+    # row and column of that source go into src and tgt in place
+    src = np.arange(start, stop) - plan.starts[ray]
+    tgt = np.empty_like(src)
+    np.divmod(src, plan.row_width[ray], out=(src, tgt))
+    src *= width
+    src += tgt
+    src += plan.first_col[ray]
+    np.add(src, plan.shift[ray], out=tgt)
+    sz, tz = heights[src], heights[tgt]
+    corner, *others = plan.corners
+    box = box_max[src + corner[ray]]
+    for corner in others:
+        np.maximum(box, box_max[src + corner[ray]], out=box)
+    low = np.maximum(np.abs(sz), np.abs(tz))
+    low *= -_CERTIFY_MARGIN
+    low += np.minimum(sz, tz)
+    return src, tgt, ray, sz, tz, box < low
+
+
+def _add_visible_pairs(env: GridEnvironment, packed: np.ndarray) -> BuildStats:
+    """Set the bits of every visible pair src < tgt, both ways, in `packed`
+    (see compute_exposure_field); its scratch arrays go when it returns."""
+    height, width = env.height, env.width
     pts = env.points
+    heights = np.ascontiguousarray(pts[:, 2])
     elev = env._elev_flat
     step = env.cell_size / LOS_SAMPLES_PER_CELL
-    work = _work_arrays(max(_LOS_CHUNK_ELEMENTS, env.height + env.width))
-    for src, tgt, ray, first, last, offset, ambiguous in _ray_batches(env.height, env.width):
-        span = np.hypot(pts[tgt, 0] - pts[src, 0], pts[tgt, 1] - pts[src, 1])
-        sz = pts[src, 2]
-        dz = pts[tgt, 2] - sz
-        # one row per run, one column per pair: the per-pair operands then
-        # broadcast along contiguous rows
-        shape = (len(first), len(src))
-        size = shape[0] * shape[1]
-        z, ground, under, blocking = (work[i][:size].reshape(shape) for i in (0, 1, 3, 4))
-        # each pair's lowest sample of every run: the first when the ray
-        # climbs, the last when it falls. Padding (k = 0, offset 0) tests the
-        # source centre, which never blocks: sz is its elevation plus d >= 0.
-        # The indices are in range, so "clip" only lets take write into out.
-        ks = np.concatenate((first, last), axis=1) * step
-        np.take(ks, ray + first.shape[1] * (dz < 0), axis=1, out=z, mode="clip")
-        z /= span
-        z *= dz
-        z += sz
-        np.take(offset, ray, axis=1, out=under, mode="clip")
-        under += src
-        np.greater(np.take(elev, under, out=ground, mode="clip"), z, out=blocking)
-        seen = ~blocking.any(axis=0)
-        if len(ambiguous):
-            check = np.flatnonzero(seen & (ambiguous[0, ray] > 0))
-            if check.size:
-                seen[check] = _visible_pairs(env, src[check], tgt[check], work,
-                                             ambiguous[:, ray[check]].T * step)
-        src, tgt = src[seen], tgt[seen]
-        # a batch can hold several targets in one byte of a row: ufunc.at
-        # applies every one, where a fancy-indexed |= would keep only the last
-        np.bitwise_or.at(packed, (src, tgt >> 3), (1 << (tgt & 7)).astype(np.uint8))
-        np.bitwise_or.at(packed, (tgt, src >> 3), (1 << (src & 7)).astype(np.uint8))
-    packed.setflags(write=False)
-    return ExposureField.from_packed(packed, n, validate=False)
+    box_max = _box_max_table(env.elevations)
+    plans = _shape_plans(height, width)
+    most = max(_LOS_CHUNK_ELEMENTS, height + width)
+    work = _work_arrays(most)
+    certified = run_samples = boundary_samples = 0
+    for plan in plans:
+        rays = len(plan.starts)
+        # the k tables in distances along the ray, as _visible_pairs computes them
+        lows = plan.lows * step
+        offsets = np.empty(most, plan.offset.dtype)
+        for start in range(0, plan.pairs, plan.chunk):
+            src, tgt, ray, sz, tz, seen = _certified_pairs(
+                plan, start, min(start + plan.chunk, plan.pairs), width, heights, box_max)
+            rest = np.flatnonzero(~seen)
+            certified += len(seen) - len(rest)
+            run_samples += int(plan.runs[ray[rest]].sum())
+            for b0 in range(0, len(rest), plan.batch):
+                pick = rest[b0:b0 + plan.batch]
+                s, t, r = src[pick], tgt[pick], ray[pick]
+                span = np.hypot(pts[t, 0] - pts[s, 0], pts[t, 1] - pts[s, 1])
+                dz = tz[pick] - sz[pick]
+                # one row per run, one column per pair: the per-pair operands
+                # then broadcast along contiguous rows
+                shape = (plan.lows.shape[0], len(pick))
+                size = shape[0] * shape[1]
+                z, ground, under, blocking = (work[i][:size].reshape(shape) for i in (0, 1, 3, 4))
+                cell = offsets[:size].reshape(shape)
+                # each pair's lowest sample of every run: the first when the
+                # ray climbs, the last when it falls. Padding (k = 0, offset
+                # 0) tests the source centre, which never blocks: sz is its
+                # elevation plus d >= 0. The indices are in range, so "clip"
+                # only lets take write into out.
+                np.take(lows, r + rays * (dz < 0), axis=1, out=z, mode="clip")
+                z /= span
+                z *= dz
+                z += sz[pick]
+                np.take(plan.offset, r, axis=1, out=cell, mode="clip")
+                np.add(cell, s, out=under)
+                np.greater(np.take(elev, under, out=ground, mode="clip"), z, out=blocking)
+                visible = ~blocking.any(axis=0)
+                if r[0] < plan.mixed:  # r ascends: rays with ambiguous samples come first
+                    check = np.flatnonzero(visible & (r < plan.mixed))
+                    if check.size:
+                        ks = plan.ambiguous[:, r[check]].T
+                        boundary_samples += int(np.count_nonzero(ks))
+                        visible[check] = _visible_pairs(env, s[check], t[check], work, ks * step)
+                seen[pick] = visible
+            src, tgt = src[seen], tgt[seen]
+            # a chunk can hold several targets in one byte of a row: ufunc.at
+            # applies every one, where a fancy-indexed |= would keep only the last
+            np.bitwise_or.at(packed, (src, tgt >> 3), (1 << (tgt & 7)).astype(np.uint8))
+            np.bitwise_or.at(packed, (tgt, src >> 3), (1 << (src & 7)).astype(np.uint8))
+    pairs = env.n * (env.n - 1) // 2
+    return BuildStats(pairs, certified, pairs - certified, run_samples, boundary_samples)
 
 
 # -- exposure field ----------------------------------------------------------
@@ -514,9 +690,13 @@ class ExposureField:
     the packed (n, ceil(n/8)) uint8 matrix of to_packed(), read-only, taken
     as given from compute_exposure_field and from_packed or else built on
     first use. members() unpacks one row of it per call and keeps nothing.
+
+    build_stats holds the builder's work counts (BuildStats) on a field from
+    compute_exposure_field and is None otherwise; equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("n", "rows", "_counts", "_scores", "_packed")
+    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_packed")
 
     def __init__(self, rows: Sequence[int], validate: bool = False):
         self.n = len(rows)
@@ -527,6 +707,7 @@ class ExposureField:
         self._counts = tuple(r.bit_count() for r in self.rows)
         self._scores = None
         self._packed = None
+        self.build_stats = None
         if validate:
             self.validate()
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (DEFAULT_CELL_SIZE, ExplicitGraph, ExposureField,
-                         build_environment, compute_exposure_field, gen_boxes,
-                         gen_hills, line_of_sight, traversable)
-from stealthpath.terrain import (LOS_SAMPLES_PER_CELL, _VALIDATE_ROWS, _ray_plans,
-                                 _visible_pairs, _work_arrays)
+from stealthpath import (DEFAULT_CELL_SIZE, DEFAULT_MAX_STEP, ExplicitGraph,
+                         ExposureField, build_environment, compute_exposure_field,
+                         gen_boxes, gen_hills, line_of_sight, traversable)
+from stealthpath import terrain
+from stealthpath.terrain import (LOS_SAMPLES_PER_CELL, _VALIDATE_ROWS, BuildStats,
+                                 _ray_plans, _visible_pairs, _work_arrays)
 
 
 def reference_line_of_sight(elev, cell, d, a, b):
@@ -61,6 +62,28 @@ def reference_exposure_field(env):
             sees[tgt[seen], src[seen]] = True
     return ExposureField([int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
                           for r in sees])
+
+
+def reference_adjacency(elev, max_step, connectivity):
+    """The per-cell adjacency loop GridEnvironment used to run, kept as the
+    oracle for its vectorized form."""
+    height, width = elev.shape
+    flat = np.asarray(elev, dtype=np.float64).ravel()
+    offsets = {4: ((-1, 0), (0, -1), (0, 1), (1, 0)),
+               8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))}
+    nbrs = []
+    for i in range(height * width):
+        r, c = divmod(i, width)
+        adj = []
+        for dr, dc in offsets[connectivity]:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < height and 0 <= cc < width:
+                j = rr * width + cc
+                if abs(flat[j] - flat[i]) <= max_step:
+                    adj.append(j)
+        adj.sort()
+        nbrs.append(tuple(adj))
+    return tuple(nbrs)
 
 
 class TestLineOfSight:
@@ -223,6 +246,123 @@ class TestExposureFieldConstruction:
         elev = np.random.default_rng(3).uniform(0, 5, (7, 7))
         env = build_environment(elev, cell_size=2.0)
         assert compute_exposure_field(env) == compute_exposure_field(env)
+
+
+class TestVisibleCertificate:
+    """The box certificate and the per-shape plan cache, against the
+    every-sample builder."""
+
+    @pytest.mark.parametrize("offset", [-1e8, 1e8, 3e9])
+    @pytest.mark.parametrize("d", [0.0, 1e-9, 3e-9])
+    def test_matches_every_sample_builder_far_from_zero(self, offset, d):
+        # one ulp of these heights (up to 5e-7) exceeds d and any fixed
+        # margin such as 1e-9, so the ray heights round by more than either
+        rng = np.random.default_rng(int(abs(offset)) % 97 + int(d * 1e9))
+        for shape in ((1, 14), (6, 7), (9, 5)):
+            elev = offset + np.round(rng.uniform(0.0, 3.0, shape))
+            env = build_environment(elev, cell_size=0.3, d=d)
+            assert compute_exposure_field(env) == reference_exposure_field(env), shape
+
+    @pytest.mark.parametrize("cell", [0.1, 0.3, 2.5])
+    def test_matches_every_sample_builder_at_and_one_ulp_below_the_lower_end(self, cell):
+        # with d = 1 and whole-metre heights, many cells sit exactly at the
+        # lower end height min(sz, tz) of some pair; nudged cells sit one ulp
+        # below it, where only the run test may decide
+        rng = np.random.default_rng(int(cell * 10))
+        for shape in ((1, 16), (16, 1), (7, 8)):
+            elev = np.round(rng.uniform(0.0, 3.0, shape))
+            nudge = rng.random(shape) < 0.5
+            elev[nudge] = np.nextafter(elev[nudge], -np.inf)
+            env = build_environment(elev, cell_size=cell, d=1.0)
+            assert compute_exposure_field(env) == reference_exposure_field(env), shape
+
+    @pytest.mark.parametrize("cell", [0.1, 0.3, 2.5])
+    def test_cell_at_or_just_below_the_lower_end_is_not_certified(self, cell):
+        # pair (0, 2) has ends at heights 1 and 1.5 and the middle cell in
+        # its box; at exactly 1, or one ulp below, that cell is within the
+        # margin of the lower end, so the pair goes to the run test, and so
+        # does (0, 1). 2^-30 below, the box certifies both. (1, 2) is always
+        # certified: the cells lie below its lower end, 1.5.
+        def certified(middle):
+            env = build_environment([[0.0, middle, 0.5]], cell_size=cell, d=1.0)
+            field = compute_exposure_field(env)
+            assert field == reference_exposure_field(env)
+            return field.build_stats.certified_pairs
+
+        assert certified(1.0) == 1
+        assert certified(np.nextafter(1.0, 0.0)) == 1
+        assert certified(1.0 - 2.0 ** -30) == 3
+
+    def test_a_blocker_between_the_end_heights_is_not_certified(self):
+        # the middle cell is above the lower end and below the upper one,
+        # and blocks the ray (z = 2 there); a bound on max(sz, tz) would
+        # certify the pair visible
+        env = build_environment([[0.0, 0.0, 2.5, 0.0, 2.0]], cell_size=1.0, d=1.0)
+        field = compute_exposure_field(env)
+        assert not (field.exposure_set(0) >> 4) & 1
+        assert field == reference_exposure_field(env)
+
+    def test_flat_maps_are_all_certified_only_above_the_ground(self):
+        flat = np.zeros((5, 6))
+        lifted = compute_exposure_field(build_environment(flat, d=1.0)).build_stats
+        assert lifted.certified_pairs == lifted.pairs and lifted.run_tested_pairs == 0
+        ground = compute_exposure_field(build_environment(flat, d=0.0)).build_stats
+        assert ground.certified_pairs == 0 and ground.run_tested_pairs == ground.pairs
+
+    def test_alternating_shapes_replan(self):
+        # 7x9 and 9x7 have the same region count, as do 1x12 and 12x1: a
+        # plan cache keyed on anything less than (height, width) reuses the
+        # wrong rays
+        rng = np.random.default_rng(11)
+        for shape in ((7, 9), (9, 7), (1, 12), (12, 1), (7, 9)):
+            elev = np.round(rng.uniform(0.0, 4.0, shape))
+            env = build_environment(elev, cell_size=0.3, d=1.0)
+            assert compute_exposure_field(env) == reference_exposure_field(env), shape
+            assert terrain._plan_cache[0] == shape  # only the latest shape is kept
+
+    @pytest.mark.parametrize("shape", [(1, 300), (300, 1), (3, 90)])
+    def test_matches_every_sample_builder_with_wider_plan_tables(self, shape):
+        # rays over 63 cells long need sample numbers past 255, and grids
+        # over 255 cells offsets past 255, in the compact plan tables
+        elev = np.round(np.random.default_rng(shape[0]).uniform(0.0, 4.0, shape))
+        env = build_environment(elev, cell_size=0.3, d=1.0)
+        assert compute_exposure_field(env) == reference_exposure_field(env)
+
+
+class TestBuildStats:
+    def test_counts_add_up(self, boxes12):
+        env, field = boxes12
+        stats = field.build_stats
+        assert stats.pairs == env.n * (env.n - 1) // 2
+        assert stats.certified_pairs + stats.run_tested_pairs == stats.pairs
+        assert 0 < stats.certified_pairs < stats.pairs
+        assert stats.run_samples >= stats.run_tested_pairs > 0
+        assert stats.boundary_samples > 0
+
+    def test_counts_repeat_for_one_map(self):
+        env = build_environment(gen_hills(5, 16), cell_size=DEFAULT_CELL_SIZE)
+        first = compute_exposure_field(env).build_stats
+        # a build of another shape in between replaces the cached plans
+        compute_exposure_field(build_environment(np.zeros((3, 4))))
+        assert compute_exposure_field(env).build_stats == first
+        assert compute_exposure_field(env).build_stats == first
+        assert isinstance(first, BuildStats)
+
+    def test_ignored_by_equality_and_absent_on_other_fields(self, boxes12):
+        _, field = boxes12
+        packed = ExposureField.from_packed(field.to_packed(), field.n)
+        rows = ExposureField(field.rows)
+        assert packed.build_stats is None and rows.build_stats is None
+        assert packed == field == rows
+        assert hash(packed) == hash(field) == hash(rows)
+
+    def test_stats_are_frozen(self, boxes12):
+        with pytest.raises(AttributeError):
+            boxes12[1].build_stats.pairs = 0
+
+    def test_single_region(self):
+        stats = compute_exposure_field(build_environment([[2.0]])).build_stats
+        assert stats == BuildStats(0, 0, 0, 0, 0)
 
 
 class TestExposureField:
@@ -413,6 +553,25 @@ class TestGridEnvironment:
         with pytest.raises(ValueError, match="max_step"):
             build_environment([[0.0]], max_step=-1.0)
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("gen", [gen_boxes, gen_hills])
+    def test_adjacency_matches_loop_on_generated_maps(self, gen, connectivity):
+        for size in (12, 20):
+            elev = gen(3, size)
+            env = build_environment(elev, max_step=DEFAULT_MAX_STEP, connectivity=connectivity)
+            assert env.adjacency == reference_adjacency(elev, DEFAULT_MAX_STEP, connectivity)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("max_step", [0.0, 0.5, 1.0, math.inf])
+    def test_adjacency_matches_loop_on_random_grids(self, max_step, connectivity):
+        # whole and half metres put many steps exactly at max_step
+        rng = np.random.default_rng(int(2 * min(max_step, 9)) + connectivity)
+        for shape in ((1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (8, 3), (11, 11)):
+            elev = np.round(2 * rng.uniform(0.0, 3.0, shape)) / 2
+            env = build_environment(elev, max_step=max_step, connectivity=connectivity)
+            assert env.adjacency == reference_adjacency(elev, max_step, connectivity), shape
+            assert all(type(j) is int for adj in env.adjacency for j in adj)
+
     def test_elevations_read_only(self):
         env = build_environment(np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -430,6 +589,13 @@ class TestExplicitGraph:
             ExplicitGraph(2, [(1, 1)])
         with pytest.raises(ValueError, match="outside"):
             ExplicitGraph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        points = np.zeros((2, 3))
+        points[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ExplicitGraph(2, [(0, 1)], points=points)
 
     def test_heuristics_degrade_to_zero_without_points(self):
         g = ExplicitGraph(2, [(0, 1)])
