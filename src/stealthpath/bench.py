@@ -24,6 +24,7 @@ optimality gaps where the exact planner finished, and corridor widths.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -35,18 +36,21 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import build_corridor
-from .search import (DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND, PlanResult,
-                     obj_acc, obj_bin, path_counts, plan_binary, plan_ess,
-                     plan_exact, plan_saturation, plan_shortest)
+from .search import (ALGORITHMS, DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND,
+                     obj_bin, plan, plan_shortest, score_path)
+# Bound here though unused: perfbench/tracing.py wraps the planners and
+# objectives by name in this module as well as in search.
+from .search import (obj_acc, path_counts, plan_binary, plan_ess,  # noqa: F401
+                     plan_exact, plan_saturation)
 from .terrain import (ExplicitGraph, ExposureField, build_environment,
                       compute_exposure_field)
 
 DEFAULT_CELL_SIZE = 10.0
 DEFAULT_MAX_STEP = 1.0
 BOX_HEIGHT = 3.0
+MIN_MAP_SIZE = 10
 TAU_SWEEP = (1, 2, 3, 4, 5, 10, 15, 20, 25, 50, 100, 200)
 
-ALGORITHMS = ("shortest", "ess", "binary", "saturation", "exact")
 MAP_KINDS = ("boxes", "hills")
 
 
@@ -59,8 +63,8 @@ def gen_boxes(seed: int, size: int) -> np.ndarray:
     stop movement), rest fully inside the border, and keep a one-cell gap
     from each other so every wall cell stays reachable.
     """
-    if size < 10:
-        raise ValueError(f"size must be at least 10 to place boxes, got {size}")
+    if size < MIN_MAP_SIZE:
+        raise ValueError(f"size must be at least {MIN_MAP_SIZE} to place boxes, got {size}")
     rng = np.random.default_rng(seed)
     elev = np.zeros((size, size))
     placed: list[tuple[int, int, int, int]] = []
@@ -93,8 +97,8 @@ def gen_hills(seed: int, size: int,
     rescaled if needed so the steepest adjacent step is 0.9, keeping the
     whole map traversable under DEFAULT_MAX_STEP.
     """
-    if size < 10:
-        raise ValueError(f"size must be at least 10, got {size}")
+    if size < MIN_MAP_SIZE:
+        raise ValueError(f"size must be at least {MIN_MAP_SIZE}, got {size}")
     rng = np.random.default_rng(seed)
     x, y = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
     elev = np.zeros((size, size))
@@ -330,8 +334,6 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         field_name = _CONFIG_KEYS[key]
         try:
             kwargs[field_name] = _parse_config_value(field_name, value)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': {exc}") from None
     cfg = ExperimentConfig(**kwargs)
@@ -341,12 +343,20 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     for alg in cfg.algorithms:
         if alg not in ALGORITHMS:
             raise ConfigError(f"config key 'algorithms': unknown algorithm '{alg}'")
-    if cfg.queries < 0:
-        raise ConfigError(f"config key 'queries': must be non-negative, got {cfg.queries}")
-    if not 0.0 < cfg.p_success < 1.0:
-        raise ConfigError(f"config key 'p_success': must be in (0, 1), got {cfg.p_success}")
-    if any(int(t) != t or t < 1 for t in cfg.taus):
-        raise ConfigError("config key 'taus': entries must be positive integers")
+    # every value is checked here, before the first map is built
+    for key, ok, problem in (
+            ("queries", cfg.queries >= 0, f"must be non-negative, got {cfg.queries}"),
+            ("p_success", 0.0 < cfg.p_success < 1.0, f"must be in (0, 1), got {cfg.p_success}"),
+            ("taus", all(int(t) == t and t >= 1 for t in cfg.taus),
+             "entries must be positive integers"),
+            ("sizes", all(v >= MIN_MAP_SIZE for v in cfg.sizes),
+             f"entries must be at least {MIN_MAP_SIZE}, got {cfg.sizes}"),
+            ("seeds", all(v >= 0 for v in cfg.seeds),
+             f"entries must be non-negative, got {cfg.seeds}"),
+            ("budget", cfg.node_budget >= 1, f"must be positive, got {cfg.node_budget}"),
+            ("query_seed", cfg.query_seed >= 0, f"must be non-negative, got {cfg.query_seed}")):
+        if not ok:
+            raise ConfigError(f"config key '{key}': {problem}")
     return cfg
 
 
@@ -370,27 +380,9 @@ def _parse_config_value(field_name: str, value: str):
 
 
 def _query_cells(config: ExperimentConfig) -> list[tuple[str, Optional[int]]]:
-    cells: list[tuple[str, Optional[int]]] = []
-    for alg in config.algorithms:
-        if alg == "saturation":
-            cells.extend(("saturation", int(tau)) for tau in config.taus)
-        else:
-            cells.append((alg, None))
-    return cells
-
-
-def _run_cell(env, field, s, g, alg, tau, config) -> PlanResult:
-    if alg == "shortest":
-        return plan_shortest(env, field, s, g)
-    if alg == "ess":
-        return plan_ess(env, field, s, g)
-    if alg == "binary":
-        return plan_binary(env, field, s, g)
-    if alg == "saturation":
-        return plan_saturation(env, field, s, g, tau, config.p_success)
-    if alg == "exact":
-        return plan_exact(env, field, s, g, config.node_budget)
-    raise ValueError(f"unknown algorithm {alg!r}")
+    """(algorithm, tau) of each planner call per query: saturation once per tau."""
+    return [(alg, tau) for alg in config.algorithms
+            for tau in (map(int, config.taus) if alg == "saturation" else [None])]
 
 
 def _map_records(args: tuple[ExperimentConfig, int]) -> list[dict]:
@@ -414,14 +406,16 @@ def _map_records(args: tuple[ExperimentConfig, int]) -> list[dict]:
         base = plan_shortest(env, field, s, g)
         base_time = max(base.runtime, 1e-9)
 
-        results: list[tuple[str, Optional[int], Optional[PlanResult], Optional[str]]] = []
+        results = []
         exact_obj: Optional[int] = None
         for alg, tau in cells:
             if alg == "shortest":
                 res, err = base, None
             else:
                 try:
-                    res, err = _run_cell(env, field, s, g, alg, tau, config), None
+                    res, err = plan(alg, env, field, s, g, tau=tau,
+                                    p_success=config.p_success,
+                                    node_budget=config.node_budget), None
                 except Exception as exc:  # per-cell failures must not abort the batch
                     res, err = None, f"{type(exc).__name__}: {exc}"
             if res is not None and alg == "exact" and res.status == FOUND:
@@ -455,10 +449,8 @@ def _map_records(args: tuple[ExperimentConfig, int]) -> list[dict]:
                 rec["runtime_ratio"] = res.runtime / base_time
                 if res.status == FOUND:
                     rec["path_len"] = len(res.path)
-                    rec["obj_bin"] = obj_bin(field, res.path)
-                    t = tau if tau is not None else 1
-                    rec["obj_acc"] = obj_acc(path_counts(field, res.path, t),
-                                             config.p_success, t)
+                    rec["obj_bin"], rec["obj_acc"] = score_path(
+                        field, res.path, tau, config.p_success)
                     rec["avg_width"] = build_corridor(env, field, res.path).avg_width
                     if exact_obj is not None:
                         rec["optimality_gap"] = optimality_gap(
@@ -477,18 +469,12 @@ def run_experiment(config: ExperimentConfig,
     are not distorted by core contention.
     """
     total = len(config.kinds) * len(config.sizes) * len(config.seeds)
-    indices = list(range(total))
+    jobs = [(config, mi) for mi in range(total)]
+    parallel = config.workers > 1 and not config.timing
     records: list[dict] = []
-    if config.workers > 1 and not config.timing:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for i, chunk in enumerate(pool.map(_map_records,
-                                               [(config, mi) for mi in indices])):
-                records.extend(chunk)
-                if progress is not None:
-                    progress(chunk[0]["map"] if chunk else f"map {i}", i + 1, total)
-    else:
-        for i in indices:
-            chunk = _map_records((config, i))
+    with ProcessPoolExecutor(config.workers) if parallel else contextlib.nullcontext() as pool:
+        for i, chunk in enumerate(pool.map(_map_records, jobs) if parallel
+                                  else map(_map_records, jobs)):
             records.extend(chunk)
             if progress is not None:
                 progress(chunk[0]["map"] if chunk else f"map {i}", i + 1, total)

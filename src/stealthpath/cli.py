@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import bench, mapio, render, search
-from .bench import ConfigError
 from .corridor import build_corridor, corridor_record
 from .terrain import build_environment
 
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="plan one start-to-goal query")
     _add_world_args(p_plan)
-    p_plan.add_argument("--alg", required=True, choices=bench.ALGORITHMS)
+    p_plan.add_argument("--alg", required=True, choices=search.ALGORITHMS)
     p_plan.add_argument("--start", required=True,
                         help="'row,col' cell, or a region letter with --fixture")
     p_plan.add_argument("--goal", required=True)
@@ -157,20 +156,11 @@ def cmd_plan(args) -> int:
     world = _World(args)
     s = world.region(args.start)
     g = world.region(args.goal)
-    env, field = world.env, world.field
-    if args.alg == "shortest":
-        res = search.plan_shortest(env, field, s, g)
-    elif args.alg == "ess":
-        res = search.plan_ess(env, field, s, g)
-    elif args.alg == "binary":
-        res = search.plan_binary(env, field, s, g, args.m)
-    elif args.alg == "saturation":
-        if args.tau is None:
-            raise ValueError("--tau is required for the saturation planner")
-        res = search.plan_saturation(env, field, s, g, args.tau, args.p_success)
-    else:
-        res = search.plan_exact(env, field, s, g, args.budget)
-    print(json.dumps(search.result_record(field, res)))
+    if args.alg == "saturation" and args.tau is None:
+        raise ValueError("--tau is required for the saturation planner")
+    res = search.plan(args.alg, world.env, world.field, s, g, tau=args.tau,
+                      p_success=args.p_success, m=args.m, node_budget=args.budget)
+    print(json.dumps(search.result_record(world.field, res)))
     return _STATUS_EXIT[res.status]
 
 
@@ -235,10 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,7 +1,9 @@
 """Exposure-aware planners and their objective functions.
 
 Five planners share the same query surface (environment, exposure field,
-start region, goal region) and return a PlanResult:
+start region, goal region) and return a PlanResult. plan(name, ...) is the
+one dispatch from a name in ALGORITHMS to a planner, for the CLI and the
+experiment harness alike:
 
 * plan_shortest: exposure-agnostic A*, unit step cost. The baseline.
 * plan_ess: A* whose step cost is the destination's exposure score.
@@ -14,6 +16,9 @@ start region, goal region) and return a PlanResult:
   popcount.
 * plan_exact: best-first search over (region, visited-set) states. Optimal
   for the binary objective but exponential; takes an expansion budget.
+
+binary_step_cost and saturation_step_cost price a step with their planner's
+own rule (_binary_delta, _saturation_delta); score_path scores any path.
 
 The binary and saturation planners keep one best node per region (a standard
 A* closed list). That is deliberately Markovian: the accumulator carried by
@@ -42,6 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bitset import mask_from_indices
 from .corridor import exposed_set
 from .terrain import check_field_matches, traversable
 
@@ -51,6 +57,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_P_SUCCESS = 0.95
 DEFAULT_NODE_BUDGET = 5_000_000
+
+ALGORITHMS = ("shortest", "ess", "binary", "saturation", "exact")
 
 
 @dataclass
@@ -143,7 +151,7 @@ def _check_p(p_success: float) -> None:
 
 
 def _check_tau(tau) -> int:
-    if int(tau) != tau or tau < 1:
+    if tau is None or int(tau) != tau or tau < 1:
         raise ValueError(f"tau must be a positive integer, got {tau}")
     return int(tau)
 
@@ -154,10 +162,9 @@ def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     """Exposure-agnostic A*: fewest moves, admissible grid-distance heuristic."""
     _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    res = _astar_region(env, s, g,
-                        step_cost=lambda a, b: 1.0,
-                        h=lambda r: float(env.min_steps(r, g)))
-    return _finish("shortest", res, s, g, t0, {})
+    path, cost, n = _astar_region(env, s, g, step_cost=lambda a, b: 1.0,
+                                  h=lambda r: float(env.min_steps(r, g)))
+    return _result("shortest", {}, s, g, t0, n, path, cost)
 
 
 def plan_ess(env, field, s: int, g: int) -> PlanResult:
@@ -171,15 +178,14 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     t0 = time.perf_counter()
     scores = field.scores()
     delta = field.min_score()
-    res = _astar_region(env, s, g,
-                        step_cost=lambda a, b: scores[b],
-                        h=lambda r: env.manhattan3(r, g) * delta)
-    return _finish("ess", res, s, g, t0, {})
+    path, cost, n = _astar_region(env, s, g, step_cost=lambda a, b: scores[b],
+                                  h=lambda r: env.manhattan3(r, g) * delta)
+    return _result("ess", {}, s, g, t0, n, path, cost)
 
 
 def _astar_region(env, s, g, step_cost, h):
-    """A* keyed on bare regions. Returns (path, cost, expansions) or a
-    (None, expansions) pair when the goal is unreachable.
+    """A* keyed on bare regions. Returns (path, cost, expansions); path and
+    cost are None when the goal is unreachable.
 
     Node rows are immutable (region, parent_idx, g) triples so a path walked
     back from the goal always matches the g it was queued with, even when an
@@ -207,7 +213,7 @@ def _astar_region(env, s, g, step_cost, h):
                 hn = h(nb)
                 nodes.append((nb, idx, ng))
                 heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
-    return None, expansions
+    return None, None, expansions
 
 
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
@@ -224,6 +230,7 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
         m = 1.0 / (2 * env.n)
     if not 0.0 < m < 1.0 / env.n:
         raise ValueError(f"m must be in (0, 1/n); got {m} with n = {env.n}")
+    params = {"m": m}
     t0 = time.perf_counter()
 
     rows, counts, adj = field.rows, field._counts, env.adjacency
@@ -249,20 +256,25 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
             acc_of[idx] = acc
         expansions += 1
         if region == g:
-            return _finish("binary", (_walk_nodes(nodes, idx), gg, expansions),
-                           s, g, t0, {"m": m})
+            return _result("binary", params, s, g, t0, expansions,
+                           _walk_nodes(nodes, idx), gg)
         # goal regions the accumulator has not exposed yet
         left = goal_set ^ (goal_set & acc)
         nleft = left.bit_count()
         for nb in adj[region]:
-            row = rows[nb]
-            ng = gg + (counts[nb] - (row & acc).bit_count()) + m
+            ng = gg + _binary_delta(rows, counts, acc, nb) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = float(nleft - (left & row).bit_count())
+                hn = float(nleft - (left & rows[nb]).bit_count())
                 nodes.append((nb, idx, ng))
                 heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
-    return _finish("binary", (None, expansions), s, g, t0, {"m": m})
+    return _result("binary", params, s, g, t0, expansions)
+
+
+def _binary_delta(rows, counts, acc: int, dest: int) -> int:
+    """Growth of the exposed set for a step into dest: |E(dest)| minus the
+    part acc already holds. counts[dest] is the size of rows[dest]."""
+    return counts[dest] - (rows[dest] & acc).bit_count()
 
 
 def plan_saturation(env, field, s: int, g: int, tau: int,
@@ -282,6 +294,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     _check_query(env, field, s, g)
     tau = _check_tau(tau)
     _check_p(p_success)
+    params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
     unit = -math.log10(p_success)
     rows, counts, adj = field.rows, field._counts, env.adjacency
@@ -307,8 +320,8 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
             state_of[idx] = state
         expansions += 1
         if region == g:
-            return _finish("saturation", (_walk_nodes(nodes, idx), gg, expansions),
-                           s, g, t0, {"tau": tau, "p_success": p_success})
+            return _result("saturation", params, s, g, t0, expansions,
+                           _walk_nodes(nodes, idx), gg)
         for nb in adj[region]:
             ng = gg + _saturation_delta(rows, counts, state, nb, tau) * unit
             if ng < best_g[nb]:
@@ -316,8 +329,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
                 hn = env.manhattan3(nb, g) * tau * unit
                 nodes.append((nb, idx, ng))
                 heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
-    return _finish("saturation", (None, expansions), s, g, t0,
-                   {"tau": tau, "p_success": p_success})
+    return _result("saturation", params, s, g, t0, expansions)
 
 
 # A saturation state is (slices, sat). Bit i of slices[k] is bit k of
@@ -369,20 +381,16 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     tau = _check_tau(tau)
     _check_p(p_success)
     clamped = np.minimum(np.asarray(counts), tau)
-
-    def mask(bits):
-        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-    slices = tuple(mask(clamped >> k & 1) for k in range(tau.bit_length()))
-    state = (slices, mask(clamped == tau))
+    slices = tuple(mask_from_indices(np.flatnonzero(clamped >> k & 1))
+                   for k in range(tau.bit_length()))
+    state = (slices, mask_from_indices(np.flatnonzero(clamped == tau)))
     delta = _saturation_delta(field.rows, field._counts, state, dest, tau)
     return delta * -math.log10(p_success)
 
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
     """Cost plan_binary assigns to the same transition, for the tau = 1 link."""
-    grown = accumulator | field.exposure_set(dest)
-    return float(grown.bit_count() - accumulator.bit_count()) + m
+    return float(_binary_delta(field.rows, field._counts, accumulator, dest)) + m
 
 
 def plan_exact(env, field, s: int, g: int,
@@ -404,6 +412,7 @@ def plan_exact(env, field, s: int, g: int,
     _check_query(env, field, s, g)
     if node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
+    params = {"node_budget": node_budget}
     t0 = time.perf_counter()
 
     rows, adj = field.rows, env.adjacency
@@ -419,11 +428,11 @@ def plan_exact(env, field, s: int, g: int,
         f, hr, region, idx = heapq.heappop(heap)
         _, parent_idx, visited, eps = nodes[idx]
         if region == g:
-            return _finish("exact", (_walk_nodes(nodes, idx), float(eps.bit_count()),
-                                     expansions), s, g, t0, {"node_budget": node_budget})
+            return _result("exact", params, s, g, t0, expansions,
+                           _walk_nodes(nodes, idx), eps.bit_count())
         if expansions >= node_budget:
-            return PlanResult("exact", BUDGET_EXCEEDED, s, g, None, None, expansions,
-                              time.perf_counter() - t0, {"node_budget": node_budget})
+            return _result("exact", params, s, g, t0, expansions,
+                           status=BUDGET_EXCEEDED)
         expansions += 1
         for nb in adj[region]:
             bit = 1 << nb
@@ -439,8 +448,7 @@ def plan_exact(env, field, s: int, g: int,
             nf = (neps | goal_set).bit_count()
             nodes.append((nb, idx, nvis, neps))
             heapq.heappush(heap, (nf, nf - cost, nb, len(nodes) - 1))
-    return _finish("exact", (None, expansions), s, g, t0,
-                   {"node_budget": node_budget})
+    return _result("exact", params, s, g, t0, expansions)
 
 
 def _walk_nodes(nodes, idx):
@@ -452,40 +460,58 @@ def _walk_nodes(nodes, idx):
     return path
 
 
-def _finish(algorithm, res, s, g, t0, params):
-    runtime = time.perf_counter() - t0
-    if res[0] is None:
-        return PlanResult(algorithm, NO_PATH, s, g, None, None, res[1], runtime, params)
-    path, cost, expansions = res
-    return PlanResult(algorithm, FOUND, s, g, path, float(cost), expansions,
-                      runtime, params)
+def _result(algorithm, params, s, g, t0, expansions, path=None, cost=None,
+            status=None) -> PlanResult:
+    """Every planner's PlanResult: found with a path, else no_path, unless
+    status says otherwise."""
+    status = status or (NO_PATH if path is None else FOUND)
+    return PlanResult(algorithm, status, s, g, path, None if cost is None else float(cost),
+                      expansions, time.perf_counter() - t0, params)
 
 
-def result_record(field, result: PlanResult, tau: Optional[int] = None,
-                  p_success: Optional[float] = None) -> dict:
-    """Flatten a PlanResult into one serializable record.
+def plan(algorithm: str, env, field, s: int, g: int, *, tau: Optional[int] = None,
+         p_success: float = DEFAULT_P_SUCCESS, m: Optional[float] = None,
+         node_budget: int = DEFAULT_NODE_BUDGET) -> PlanResult:
+    """Run the planner named algorithm on one query. Each takes only its own
+    parameters (binary m; saturation tau, required, and p_success; exact
+    node_budget) and ignores the rest."""
+    if algorithm == "shortest":
+        return plan_shortest(env, field, s, g)
+    if algorithm == "ess":
+        return plan_ess(env, field, s, g)
+    if algorithm == "binary":
+        return plan_binary(env, field, s, g, m)
+    if algorithm == "saturation":
+        return plan_saturation(env, field, s, g, tau, p_success)
+    if algorithm == "exact":
+        return plan_exact(env, field, s, g, node_budget)
+    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
-    obj_bin and obj_acc are recomputed from the returned path so every
-    algorithm is scored on the same footing; tau and p_success default to
-    the planner's own parameters, else 1 and DEFAULT_P_SUCCESS.
-    """
-    t = tau if tau is not None else result.params.get("tau", 1)
-    p = p_success if p_success is not None else result.params.get(
-        "p_success", DEFAULT_P_SUCCESS)
-    rec = {
+
+def score_path(field, path: Sequence[int], tau: Optional[int] = None,
+               p_success: float = DEFAULT_P_SUCCESS) -> tuple[int, float]:
+    """(obj_bin, obj_acc) of a path, the same for every algorithm; tau
+    defaults to 1."""
+    t = 1 if tau is None else tau
+    return obj_bin(field, path), obj_acc(path_counts(field, path, t), p_success, t)
+
+
+def result_record(field, result: PlanResult) -> dict:
+    """Flatten a PlanResult into one serializable record, its path scored
+    at the planner's own tau and p_success if it has them."""
+    found = result.path is not None
+    obj = score_path(field, result.path, result.params.get("tau"),
+                     result.params.get("p_success", DEFAULT_P_SUCCESS)) if found else (None, None)
+    return {
         "algorithm": result.algorithm,
         "params": dict(result.params),
         "start": result.start,
         "goal": result.goal,
         "status": result.status,
-        "path": list(result.path) if result.path is not None else None,
+        "path": list(result.path) if found else None,
         "cost": result.cost,
-        "obj_bin": None,
-        "obj_acc": None,
+        "obj_bin": obj[0],
+        "obj_acc": obj[1],
         "expansions": result.expansions,
         "runtime_s": result.runtime,
     }
-    if result.path is not None:
-        rec["obj_bin"] = obj_bin(field, result.path)
-        rec["obj_acc"] = obj_acc(path_counts(field, result.path, t), p, t)
-    return rec

@@ -11,7 +11,8 @@ from stealthpath import (DEFAULT_MAX_STEP, ExperimentConfig, FOUND,
                          obj_bin, optimality_gap, parse_config_text,
                          plan_exact, run_experiment, sample_query,
                          traversable, write_records_jsonl, write_summary_csv)
-from stealthpath.bench import BOX_HEIGHT, ConfigError, load_records_jsonl
+from stealthpath import search
+from stealthpath.bench import BOX_HEIGHT, MIN_MAP_SIZE, ConfigError, load_records_jsonl
 
 TINY = dict(kinds=("boxes",), sizes=(12,), seeds=(1,), queries=2,
             algorithms=("shortest", "ess", "binary", "saturation", "exact"),
@@ -230,6 +231,28 @@ class TestRunExperiment:
         assert exact[0]["obj_bin"] is None
         assert all(r["optimality_gap"] is None for r in records)
 
+    def test_config_parameters_reach_the_planners(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(search, name)
+
+            def wrapped(*args):
+                calls.append((name, args[4:]))
+                return real(*args)
+            return wrapped
+
+        for name in ("plan_saturation", "plan_exact"):
+            monkeypatch.setattr(search, name, spy(name))
+        cfg = ExperimentConfig(**{**TINY, "queries": 1, "p_success": 0.8,
+                                  "node_budget": 777})
+        records = run_experiment(cfg)
+        assert sorted(calls) == [("plan_exact", (777,)),
+                                 ("plan_saturation", (1, 0.8)),
+                                 ("plan_saturation", (3, 0.8))]
+        sat = [r for r in records if r["algorithm"] == "saturation"]
+        assert [r["p_success"] for r in sat] == [0.8, 0.8]
+
     def test_parallel_pool_matches_sequential(self):
         base = dict(TINY, seeds=(1, 2), queries=1, timing=False,
                     algorithms=("shortest", "binary"))
@@ -322,3 +345,18 @@ class TestConfigParsing:
             config_from_mapping({"p_success": "1.5"})
         with pytest.raises(ConfigError, match="'taus'"):
             config_from_mapping({"taus": "0, 1"})
+        # each is caught before the first map is built
+        with pytest.raises(ConfigError, match="'sizes'.*at least 10"):
+            config_from_mapping({"sizes": "12, 5"})
+        with pytest.raises(ConfigError, match="'budget'"):
+            config_from_mapping({"budget": "0"})
+        with pytest.raises(ConfigError, match="'seeds'"):
+            config_from_mapping({"seeds": "1, -2"})
+        with pytest.raises(ConfigError, match="'query_seed'"):
+            config_from_mapping({"query_seed": "-1"})
+
+    def test_size_floor_is_the_generators_floor(self):
+        assert config_from_mapping({"sizes": str(MIN_MAP_SIZE)}).sizes == (MIN_MAP_SIZE,)
+        for gen in (gen_boxes, gen_hills):
+            with pytest.raises(ValueError, match="size"):
+                gen(1, MIN_MAP_SIZE - 1)

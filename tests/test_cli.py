@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from stealthpath import load_heightmap
-from stealthpath.cli import main
+from stealthpath import (ALGORITHMS, ExperimentConfig, bench, build_environment,
+                         compute_exposure_field, config_from_mapping,
+                         load_heightmap, result_record, search)
+from stealthpath.cli import build_parser, main
 from stealthpath.render import load_pgm
 
 
@@ -101,6 +103,44 @@ class TestPlan:
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
         assert rec["params"]["tau"] == 5
+
+
+# non-default parameters per planner, as CLI flags and as keyword arguments
+PLAN_PARAMS = {
+    "shortest": ([], {}),
+    "ess": ([], {}),
+    "binary": (["--m", "0.002"], {"m": 0.002}),
+    "saturation": (["--tau", "3", "--p-success", "0.9"], {"tau": 3, "p_success": 0.9}),
+    "exact": (["--budget", "4000"], {"node_budget": 4000}),
+}
+
+
+class TestPlanDispatch:
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_cli_matches_direct_planner_call(self, tmp_path, capsys, alg):
+        p = make_map(tmp_path, kind="hills", seed=5)
+        flags, kwargs = PLAN_PARAMS[alg]
+        code = main(["plan", "--map", str(p), "--alg", alg,
+                     "--start", "0,0", "--goal", "11,9", *flags])
+        got = json.loads(capsys.readouterr().out)
+        elev, cell = load_heightmap(p)
+        env = build_environment(elev, cell_size=cell, max_step=bench.DEFAULT_MAX_STEP)
+        field = compute_exposure_field(env)
+        res = getattr(search, f"plan_{alg}")(env, field, 0, env.index(11, 9), **kwargs)
+        want = result_record(field, res)
+        assert code == {"found": 0, "no_path": 3, "budget_exceeded": 4}[res.status]
+        got.pop("runtime_s"), want.pop("runtime_s")
+        assert got == want
+        for key, value in kwargs.items():
+            assert got["params"][key] == value
+
+    def test_algorithm_names_agree(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (alg,) = [a for a in sub.choices["plan"]._actions if a.dest == "alg"]
+        assert tuple(alg.choices) == ALGORITHMS
+        assert bench.ALGORITHMS == search.ALGORITHMS == ALGORITHMS
+        accepted = config_from_mapping({"algorithms": ", ".join(ALGORITHMS)})
+        assert accepted.algorithms == ExperimentConfig().algorithms == ALGORITHMS
 
 
 class TestFieldCache:

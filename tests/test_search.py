@@ -1,16 +1,17 @@
 import heapq
 import math
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (BUDGET_EXCEEDED, FOUND, NO_PATH, ExplicitGraph,
-                         ExposureField, build_environment,
+from stealthpath import (ALGORITHMS, BUDGET_EXCEEDED, FOUND, NO_PATH,
+                         ExplicitGraph, ExposureField, build_environment,
                          compute_exposure_field, exposed_set, lemma1_fixture,
-                         obj_acc, obj_bin, path_counts, plan_binary, plan_ess,
-                         plan_exact, plan_saturation, plan_shortest,
+                         obj_acc, obj_bin, path_counts, plan, plan_binary,
+                         plan_ess, plan_exact, plan_saturation, plan_shortest,
                          result_record, validate_path)
 from stealthpath.search import binary_step_cost, saturation_step_cost
 
@@ -587,6 +588,31 @@ class TestResultRecord:
         rec = result_record(field, plan_shortest(env, field, 0, 2))
         assert rec["status"] == NO_PATH
         assert rec["path"] is None and rec["obj_bin"] is None
+
+
+class TestPlanDispatch:
+    def test_unknown_name_lists_the_choices(self, flat5):
+        env, field = flat5
+        with pytest.raises(ValueError, match=re.escape(str(ALGORITHMS))):
+            plan("nope", env, field, 0, 1)
+
+    def test_saturation_needs_tau(self, flat5):
+        env, field = flat5
+        with pytest.raises(ValueError, match="tau"):
+            plan("saturation", env, field, 0, 1)
+
+    def test_each_name_runs_its_planner(self, boxes12):
+        env, field = boxes12
+        kwargs = dict(tau=3, p_success=0.9, m=0.002, node_budget=4000)
+        for name, res in (("shortest", plan_shortest(env, field, 0, 30)),
+                          ("ess", plan_ess(env, field, 0, 30)),
+                          ("binary", plan_binary(env, field, 0, 30, 0.002)),
+                          ("saturation", plan_saturation(env, field, 0, 30, 3, 0.9)),
+                          ("exact", plan_exact(env, field, 0, 30, 4000))):
+            got = plan(name, env, field, 0, 30, **kwargs)
+            assert (got.algorithm, got.status, got.path, got.cost, got.expansions,
+                    got.params) == (name, res.status, res.path, res.cost,
+                                    res.expansions, res.params)
 
 
 class TestDeterminism:
