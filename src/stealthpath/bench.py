@@ -345,6 +345,13 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"config key 'algorithms': unknown algorithm '{alg}'")
     # every value is checked here, before the first map is built
     for key, ok, problem in (
+            ("maps", len(cfg.kinds) > 0, "must name at least one map kind"),
+            ("algorithms", len(cfg.algorithms) > 0, "must name at least one algorithm"),
+            ("sizes", len(cfg.sizes) > 0, "must list at least one size"),
+            ("seeds", len(cfg.seeds) > 0, "must list at least one seed"),
+            ("taus", len(cfg.taus) > 0 or "saturation" not in cfg.algorithms,
+             "must list at least one tau when algorithms include saturation"),
+            ("workers", cfg.workers >= 1, f"must be at least 1, got {cfg.workers}"),
             ("queries", cfg.queries >= 0, f"must be non-negative, got {cfg.queries}"),
             ("p_success", 0.0 < cfg.p_success < 1.0, f"must be in (0, 1), got {cfg.p_success}"),
             ("taus", all(int(t) == t and t >= 1 for t in cfg.taus),

@@ -28,18 +28,25 @@ the gap to plan_exact is exactly what the benchmarks measure.
 All ties are broken on (f, h, region, insertion order), so identical queries
 return identical paths.
 
+All planners but plan_exact run one pop loop, _best_first. A heap row is a
+whole node, (f, h, region, seq, parent_seq, g); only expanded nodes are
+kept, in closed: seq -> (region, parent_seq, state). A node's state (binary
+accumulator, saturation counters, or none) is built from its parent's when
+it is expanded, by the planner's expand closure, which also pushes the
+neighbours it improves.
+
 Inner loops read field.rows and env.adjacency once per query, with no
-per-neighbour range check. The binary and saturation planners build a
-node's accumulator or counter state only when it is expanded, from its
-parent's. Set differences use positive ints only: x ^ (x & y) for x & ~y,
-and |x| - |x & y| for its size, the same integers. ~y is negative, and
-x & ~y takes CPython's two's-complement path: about 290 ns against 130 ns
-for x ^ (x & y) on 1600-bit rows (2-core Xeon, Python 3.11).
+per-neighbour range check. Set differences use positive ints only:
+x ^ (x & y) for x & ~y, and |x| - |x & y| for its size, the same integers.
+~y is negative, and x & ~y takes CPython's two's-complement path: about
+290 ns against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon,
+Python 3.11).
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -162,8 +169,17 @@ def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     """Exposure-agnostic A*: fewest moves, admissible grid-distance heuristic."""
     _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    path, cost, n = _astar_region(env, s, g, step_cost=lambda a, b: 1.0,
-                                  h=lambda r: float(env.min_steps(r, g)))
+    adj, min_steps = env.adjacency, env.min_steps
+
+    def expand(region, seq, gg, state, heap, best_g, counter):
+        ng = gg + 1.0
+        for nb in adj[region]:
+            if ng < best_g[nb]:
+                best_g[nb] = ng
+                hn = float(min_steps(nb, g))
+                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+
+    path, cost, n = _best_first(env.n, s, g, float(min_steps(s, g)), None, expand)
     return _result("shortest", {}, s, g, t0, n, path, cost)
 
 
@@ -178,41 +194,49 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     t0 = time.perf_counter()
     scores = field.scores()
     delta = field.min_score()
-    path, cost, n = _astar_region(env, s, g, step_cost=lambda a, b: scores[b],
-                                  h=lambda r: env.manhattan3(r, g) * delta)
+    adj, manhattan3 = env.adjacency, env.manhattan3
+
+    def expand(region, seq, gg, state, heap, best_g, counter):
+        for nb in adj[region]:
+            ng = gg + scores[nb]
+            if ng < best_g[nb]:
+                best_g[nb] = ng
+                hn = manhattan3(nb, g) * delta
+                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+
+    path, cost, n = _best_first(env.n, s, g, manhattan3(s, g) * delta, None, expand)
     return _result("ess", {}, s, g, t0, n, path, cost)
 
 
-def _astar_region(env, s, g, step_cost, h):
-    """A* keyed on bare regions. Returns (path, cost, expansions); path and
-    cost are None when the goal is unreachable.
+def _best_first(n, s, g, h0, state0, expand):
+    """A* keyed on regions with one best g each; the module docstring gives
+    its heap rows and closed map. Returns (path, cost, expansions); path and
+    cost are None when the goal is unreachable. closed[-1] holds state0, the
+    state before the start, and a row popped with g above its region's best
+    g is stale.
 
-    Node rows are immutable (region, parent_idx, g) triples so a path walked
-    back from the goal always matches the g it was queued with, even when an
-    inconsistent heuristic forces reopening.
+    expand(region, seq, g, parent_state, heap, best_g, counter) runs once per
+    expanded node but the goal. It builds the node's state from parent_state
+    and returns it. For each neighbour nb whose new g beats best_g[nb], it
+    sets best_g[nb] and pushes (g + h, h, nb, next(counter), seq, g) itself,
+    so no call is made per push. The start is seq 0; counter goes on from 1.
     """
-    adj = env.adjacency
-    hs = h(s)
-    heap = [(hs, hs, s, 0)]
-    nodes = [(s, -1, 0.0)]
-    best_g = [math.inf] * env.n
+    heap = [(h0, h0, s, 0, -1, 0.0)]
+    best_g = [math.inf] * n
     best_g[s] = 0.0
+    counter = itertools.count(1)
+    closed = {-1: (None, None, state0)}
     expansions = 0
     while heap:
-        f, hr, region, idx = heapq.heappop(heap)
-        gg = nodes[idx][2]
+        _, _, region, seq, parent, gg = heapq.heappop(heap)
         if gg > best_g[region]:
             continue
         expansions += 1
         if region == g:
-            return _walk_nodes(nodes, idx), gg, expansions
-        for nb in adj[region]:
-            ng = gg + step_cost(region, nb)
-            if ng < best_g[nb]:
-                best_g[nb] = ng
-                hn = h(nb)
-                nodes.append((nb, idx, ng))
-                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
+            closed[seq] = (region, parent, None)
+            return _walk_nodes(closed, seq), gg, expansions
+        state = expand(region, seq, gg, closed[parent][2], heap, best_g, counter)
+        closed[seq] = (region, parent, state)
     return None, None, expansions
 
 
@@ -235,29 +259,9 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
 
     rows, counts, adj = field.rows, field._counts, env.adjacency
     goal_set = rows[g]
-    acc0 = rows[s]
-    h0 = (goal_set ^ (goal_set & acc0)).bit_count()
-    # heap rows: (f, h, region, seq); node rows: (region, parent_idx, g).
-    # A node's accumulator is built when it is expanded, from its parent's.
-    heap = [(float(h0), float(h0), s, 0)]
-    nodes = [(s, -1, 0.0)]
-    acc_of = {0: acc0}
-    best_g = [math.inf] * env.n
-    best_g[s] = 0.0
-    expansions = 0
-    while heap:
-        f, hr, region, idx = heapq.heappop(heap)
-        _, parent_idx, gg = nodes[idx]
-        if gg > best_g[region]:
-            continue
-        acc = acc_of.get(idx)
-        if acc is None:
-            acc = acc_of[parent_idx] | rows[region]
-            acc_of[idx] = acc
-        expansions += 1
-        if region == g:
-            return _result("binary", params, s, g, t0, expansions,
-                           _walk_nodes(nodes, idx), gg)
+
+    def expand(region, seq, gg, acc, heap, best_g, counter):
+        acc |= rows[region]
         # goal regions the accumulator has not exposed yet
         left = goal_set ^ (goal_set & acc)
         nleft = left.bit_count()
@@ -266,9 +270,12 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = float(nleft - (left & rows[nb]).bit_count())
-                nodes.append((nb, idx, ng))
-                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
-    return _result("binary", params, s, g, t0, expansions)
+                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+        return acc
+
+    h0 = float((goal_set ^ (goal_set & rows[s])).bit_count())
+    path, cost, n = _best_first(env.n, s, g, h0, 0, expand)
+    return _result("binary", params, s, g, t0, n, path, cost)
 
 
 def _binary_delta(rows, counts, acc: int, dest: int) -> int:
@@ -284,8 +291,9 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     Each step adds one sighting to every region the destination exposes; the
     destination itself saturates to tau immediately. Step cost is the
     resulting growth of the clamped objective, so regions already saturated
-    are free to re-expose. tau = 1 prices every transition like plan_binary
-    (minus its movement cost), scaled by -log10(p_success).
+    are free to re-expose. With tau = 1 a step costs what plan_binary
+    charges for it, minus m, times -log10(p_success); the heuristics differ,
+    so the two planners can still return different paths.
 
     A node's clamped counts are bit-sliced saturating counters (see
     _saturation_advance): tau.bit_length() + 1 ints of n bits per expanded
@@ -297,39 +305,22 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
     unit = -math.log10(p_success)
-    rows, counts, adj = field.rows, field._counts, env.adjacency
+    rows, counts, adj, manhattan3 = field.rows, field._counts, env.adjacency, env.manhattan3
 
-    empty = ((0,) * tau.bit_length(), 0)
-    h0 = env.manhattan3(s, g) * tau * unit
-    # Counter states are materialized only when a node is expanded; heap
-    # entries reference the parent's expanded state plus one move.
-    heap = [(h0, h0, s, 0)]
-    nodes = [(s, -1, 0.0)]
-    state_of = {0: _saturation_advance(rows, empty, s, tau)}
-    best_g = [math.inf] * env.n
-    best_g[s] = 0.0
-    expansions = 0
-    while heap:
-        f, hr, region, idx = heapq.heappop(heap)
-        _, parent_idx, gg = nodes[idx]
-        if gg > best_g[region]:
-            continue
-        state = state_of.get(idx)
-        if state is None:
-            state = _saturation_advance(rows, state_of[parent_idx], region, tau)
-            state_of[idx] = state
-        expansions += 1
-        if region == g:
-            return _result("saturation", params, s, g, t0, expansions,
-                           _walk_nodes(nodes, idx), gg)
+    def expand(region, seq, gg, state, heap, best_g, counter):
+        state = _saturation_advance(rows, state, region, tau)
         for nb in adj[region]:
             ng = gg + _saturation_delta(rows, counts, state, nb, tau) * unit
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = env.manhattan3(nb, g) * tau * unit
-                nodes.append((nb, idx, ng))
-                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
-    return _result("saturation", params, s, g, t0, expansions)
+                hn = manhattan3(nb, g) * tau * unit
+                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+        return state
+
+    empty = ((0,) * tau.bit_length(), 0)
+    h0 = manhattan3(s, g) * tau * unit
+    path, cost, n = _best_first(env.n, s, g, h0, empty, expand)
+    return _result("saturation", params, s, g, t0, n, path, cost)
 
 
 # A saturation state is (slices, sat). Bit i of slices[k] is bit k of

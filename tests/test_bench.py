@@ -354,6 +354,17 @@ class TestConfigParsing:
             config_from_mapping({"seeds": "1, -2"})
         with pytest.raises(ConfigError, match="'query_seed'"):
             config_from_mapping({"query_seed": "-1"})
+        # an empty list would drop cells or whole runs without a word
+        with pytest.raises(ConfigError, match="'taus'.*saturation"):
+            config_from_mapping({"taus": "", "algorithms": "shortest, saturation"})
+        for key in ("algorithms", "maps", "sizes", "seeds"):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                config_from_mapping({key: ""})
+        for workers in ("0", "-3"):
+            with pytest.raises(ConfigError, match="'workers'"):
+                config_from_mapping({"workers": workers})
+        # taus may stay empty when no saturation cell needs one
+        assert config_from_mapping({"taus": "", "algorithms": "shortest"}).taus == ()
 
     def test_size_floor_is_the_generators_floor(self):
         assert config_from_mapping({"sizes": str(MIN_MAP_SIZE)}).sizes == (MIN_MAP_SIZE,)

@@ -130,6 +130,56 @@ def reference_plan_binary(env, field, s, g, m=None):
     return None, None, expansions, NO_PATH
 
 
+def reference_astar_region(env, s, g, step_cost, h):
+    """The region-keyed A* loop plan_shortest and plan_ess ran on, frozen
+    as their oracle: a node list of (region, parent_idx, g) rows and one
+    step-cost and one heuristic callable per query.
+
+    Returns (path, cost, expansions, status).
+    """
+    hs = h(s)
+    heap = [(hs, hs, s, 0)]
+    nodes = [(s, -1, 0.0)]
+    best_g = [math.inf] * env.n
+    best_g[s] = 0.0
+    expansions = 0
+    while heap:
+        f, hr, region, idx = heapq.heappop(heap)
+        gg = nodes[idx][2]
+        if gg > best_g[region]:
+            continue
+        expansions += 1
+        if region == g:
+            path = []
+            while idx >= 0:
+                path.append(nodes[idx][0])
+                idx = nodes[idx][1]
+            return path[::-1], float(gg), expansions, FOUND
+        for nb in env.neighbors(region):
+            ng = gg + step_cost(region, nb)
+            if ng < best_g[nb]:
+                best_g[nb] = ng
+                hn = h(nb)
+                nodes.append((nb, idx, ng))
+                heapq.heappush(heap, (ng + hn, hn, nb, len(nodes) - 1))
+    return None, None, expansions, NO_PATH
+
+
+def reference_plan_shortest(env, field, s, g):
+    """Unit steps, grid-distance heuristic."""
+    return reference_astar_region(env, s, g, step_cost=lambda a, b: 1.0,
+                                  h=lambda r: float(env.min_steps(r, g)))
+
+
+def reference_plan_ess(env, field, s, g):
+    """A step costs the destination's exposure score; the heuristic is the
+    3D Manhattan distance times the map's minimum score."""
+    scores = field.scores()
+    delta = field.min_score()
+    return reference_astar_region(env, s, g, step_cost=lambda a, b: scores[b],
+                                  h=lambda r: env.manhattan3(r, g) * delta)
+
+
 def reference_path_counts(field, path, tau):
     """The members-based path_counts, frozen as its oracle."""
     counts = np.zeros(field.n, dtype=np.int64)
@@ -503,6 +553,54 @@ class TestBinaryMatchesEagerOracle:
     def test_random_grids(self, seed, shape):
         env, field = random_world(seed, shape, max_step=float(seed % 3))
         assert_binary_matches_oracle(env, field, random_queries(env, 8, seed))
+
+
+def assert_region_matches_oracle(planner, oracle, env, field, queries):
+    for s, g in queries:
+        res = planner(env, field, s, g)
+        want = oracle(env, field, s, g)
+        assert (res.path, res.cost, res.expansions, res.status) == want, (s, g)
+
+
+@pytest.mark.parametrize("planner, oracle", [
+    (plan_shortest, reference_plan_shortest), (plan_ess, reference_plan_ess),
+], ids=["shortest", "ess"])
+class TestShortestAndEssMatchRegionOracle:
+    """plan_shortest and plan_ess return the frozen region A*'s path, cost,
+    expansions and status exactly, ties included."""
+
+    @pytest.mark.parametrize("world, count", [
+        ("boxes12", 40), ("hills20", 25), ("boxes50", 12), ("hills50", 12),
+    ])
+    def test_maps(self, planner, oracle, world, count, request):
+        env, field = request.getfixturevalue(world)
+        assert_region_matches_oracle(planner, oracle, env, field,
+                                     random_queries(env, count, 5))
+
+    @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_explicit_graph_past_one_machine_word(self, planner, oracle, seed, with_points):
+        n = 90
+        rng = np.random.default_rng(seed)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(40)]
+        points = rng.uniform(0.0, 3.0, (n, 3)) if with_points else None
+        graph = ExplicitGraph(n, edges, points=points)
+        field = random_field(rng, n, 0.2)
+        queries = random_queries(graph, 12, seed) + [(0, n - 1), (n - 1, 3)]
+        assert_region_matches_oracle(planner, oracle, graph, field, queries)
+
+    def test_unreachable_goal(self, planner, oracle):
+        graph = ExplicitGraph(12, [(i, i + 1) for i in range(5)])
+        field = random_field(np.random.default_rng(0), 12, 0.3)
+        assert_region_matches_oracle(planner, oracle, graph, field, [(0, 11), (11, 0), (2, 4)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1, 5), (7, 1), (3, 3), (4, 5), (6, 6), (2, 8), (9, 9)]))
+    def test_random_grids(self, planner, oracle, seed, shape):
+        env, field = random_world(seed, shape, max_step=float(seed % 3))
+        assert_region_matches_oracle(planner, oracle, env, field, random_queries(env, 8, seed))
 
 
 class TestPlanExact:
