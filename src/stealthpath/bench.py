@@ -28,6 +28,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -361,6 +362,11 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             ("seeds", all(v >= 0 for v in cfg.seeds),
              f"entries must be non-negative, got {cfg.seeds}"),
             ("budget", cfg.node_budget >= 1, f"must be positive, got {cfg.node_budget}"),
+            # the bounds GridEnvironment enforces
+            ("cell_size", 0.0 < cfg.cell_size < math.inf,
+             f"must be positive and finite, got {cfg.cell_size}"),
+            ("max_step", cfg.max_step >= 0.0, f"must be non-negative, got {cfg.max_step}"),
+            ("d", 0.0 <= cfg.d < math.inf, f"must be non-negative and finite, got {cfg.d}"),
             ("query_seed", cfg.query_seed >= 0, f"must be non-negative, got {cfg.query_seed}")):
         if not ok:
             raise ConfigError(f"config key '{key}': {problem}")

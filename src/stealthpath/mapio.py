@@ -120,8 +120,10 @@ def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
     """Fetch the environment's exposure field, going through the cache if
     a map identity (its raw bytes) and a cache directory are supplied.
 
-    A cache file that does not load as a valid field of the right size is a
-    miss: it is reported on stderr and overwritten with a fresh build."""
+    A cache entry that does not load as a valid field of the right size is
+    a miss: it is reported on stderr and overwritten with a fresh build. A
+    cache that cannot be written is reported on stderr too, and the field
+    built is returned all the same."""
     cache_path = None
     if use_cache and map_bytes is not None and cache_dir is not None:
         cache_path = field_cache_path(map_bytes, env.d, cache_dir)
@@ -129,13 +131,16 @@ def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
             try:
                 field = load_exposure_field(cache_path)
                 check_field_matches(env, field)
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 print(f"warning: ignoring invalid field cache ({exc}); recomputing",
                       file=sys.stderr)
             else:
                 return field
     field = compute_exposure_field(env)
     if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        save_exposure_field(cache_path, field)
+        try:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            save_exposure_field(cache_path, field)
+        except OSError as exc:
+            print(f"warning: cannot write field cache ({exc})", file=sys.stderr)
     return field

@@ -14,7 +14,7 @@ experiment harness alike:
   Its nodes keep the clamped counts as bit-sliced saturating counters on int
   bitsets, bit_length(tau) + 1 ints of n bits each, so a step's price is a
   popcount.
-* plan_exact: best-first search over (region, visited-set) states. Optimal
+* plan_exact: best-first search over (region, exposed set) nodes. Optimal
   for the binary objective but exponential; takes an expansion budget.
 
 binary_step_cost and saturation_step_cost price a step with their planner's
@@ -28,12 +28,13 @@ the gap to plan_exact is exactly what the benchmarks measure.
 All ties are broken on (f, h, region, insertion order), so identical queries
 return identical paths.
 
-All planners but plan_exact run one pop loop, _best_first. A heap row is a
-whole node, (f, h, region, seq, parent_seq, g); only expanded nodes are
-kept, in closed: seq -> (region, parent_seq, state). A node's state (binary
-accumulator, saturation counters, or none) is built from its parent's when
-it is expanded, by the planner's expand closure, which also pushes the
-neighbours it improves.
+All five planners run one pop loop, _best_first. A heap row is a whole
+node, (f, h, region, seq, parent_seq, g); only expanded nodes are kept, in
+closed: seq -> (region, parent_seq, state). A node's state (exposed set,
+saturation counters, or none) is built from its parent's when it is
+expanded, by the planner's expand closure, which also pushes neighbours:
+the other four push one whose g beats its region's best, and plan_exact
+each (region, exposed set) key it has not pushed before.
 
 Inner loops read field.rows and env.adjacency once per query, with no
 per-neighbour range check. Set differences use positive ints only:
@@ -179,8 +180,8 @@ def plan_shortest(env, field, s: int, g: int) -> PlanResult:
                 hn = float(min_steps(nb, g))
                 heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
 
-    path, cost, n = _best_first(env.n, s, g, float(min_steps(s, g)), None, expand)
-    return _result("shortest", {}, s, g, t0, n, path, cost)
+    return _result("shortest", {}, s, g, t0,
+                   *_best_first(env.n, s, g, float(min_steps(s, g)), None, expand))
 
 
 def plan_ess(env, field, s: int, g: int) -> PlanResult:
@@ -204,22 +205,25 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
                 hn = manhattan3(nb, g) * delta
                 heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
 
-    path, cost, n = _best_first(env.n, s, g, manhattan3(s, g) * delta, None, expand)
-    return _result("ess", {}, s, g, t0, n, path, cost)
+    return _result("ess", {}, s, g, t0,
+                   *_best_first(env.n, s, g, manhattan3(s, g) * delta, None, expand))
 
 
-def _best_first(n, s, g, h0, state0, expand):
-    """A* keyed on regions with one best g each; the module docstring gives
-    its heap rows and closed map. Returns (path, cost, expansions); path and
-    cost are None when the goal is unreachable. closed[-1] holds state0, the
-    state before the start, and a row popped with g above its region's best
-    g is stale.
+def _best_first(n, s, g, h0, state0, expand, budget=-1):
+    """The pop loop of every planner; the module docstring gives its heap
+    rows and closed map. Returns (status, path, cost, expansions). closed[-1]
+    holds state0, the state before the start, and a row popped with g above
+    its region's best g is stale.
 
     expand(region, seq, g, parent_state, heap, best_g, counter) runs once per
     expanded node but the goal. It builds the node's state from parent_state
-    and returns it. For each neighbour nb whose new g beats best_g[nb], it
-    sets best_g[nb] and pushes (g + h, h, nb, next(counter), seq, g) itself,
+    and returns it. It pushes each neighbour nb as (g + h, h, nb,
+    next(counter), seq, g) itself, setting best_g[nb] if it keys on regions,
     so no call is made per push. The start is seq 0; counter goes on from 1.
+
+    The goal's pop counts as an expansion. Past budget expansions the next
+    pop ends the search: found if it is the goal, else budget_exceeded. The
+    default -1 sets none, and as an int keeps that test on the fast path.
     """
     heap = [(h0, h0, s, 0, -1, 0.0)]
     best_g = [math.inf] * n
@@ -231,13 +235,18 @@ def _best_first(n, s, g, h0, state0, expand):
         _, _, region, seq, parent, gg = heapq.heappop(heap)
         if gg > best_g[region]:
             continue
-        expansions += 1
         if region == g:
-            closed[seq] = (region, parent, None)
-            return _walk_nodes(closed, seq), gg, expansions
+            path = [region]
+            while parent >= 0:
+                region, parent, _ = closed[parent]
+                path.append(region)
+            return FOUND, path[::-1], gg, expansions + 1
+        if expansions == budget:
+            return BUDGET_EXCEEDED, None, None, expansions
+        expansions += 1
         state = expand(region, seq, gg, closed[parent][2], heap, best_g, counter)
         closed[seq] = (region, parent, state)
-    return None, None, expansions
+    return NO_PATH, None, None, expansions
 
 
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
@@ -274,8 +283,7 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
         return acc
 
     h0 = float((goal_set ^ (goal_set & rows[s])).bit_count())
-    path, cost, n = _best_first(env.n, s, g, h0, 0, expand)
-    return _result("binary", params, s, g, t0, n, path, cost)
+    return _result("binary", params, s, g, t0, *_best_first(env.n, s, g, h0, 0, expand))
 
 
 def _binary_delta(rows, counts, acc: int, dest: int) -> int:
@@ -319,8 +327,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
 
     empty = ((0,) * tau.bit_length(), 0)
     h0 = manhattan3(s, g) * tau * unit
-    path, cost, n = _best_first(env.n, s, g, h0, empty, expand)
-    return _result("saturation", params, s, g, t0, n, path, cost)
+    return _result("saturation", params, s, g, t0, *_best_first(env.n, s, g, h0, empty, expand))
 
 
 # A saturation state is (slices, sat). Bit i of slices[k] is bit k of
@@ -386,19 +393,22 @@ def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
 
 def plan_exact(env, field, s: int, g: int,
                node_budget: int = DEFAULT_NODE_BUDGET) -> PlanResult:
-    """Optimal binary-exposure search over (region, visited-set) states.
+    """Optimal binary-exposure search over (region, exposed set E) nodes.
 
-    Keying states on the whole visited set removes the Markovian
-    approximation: two arrivals at one region with different histories stay
-    distinct. Only unvisited successors are generated; the exposed set never
-    shrinks when a detour is dropped, so some optimal path is simple and
-    remains reachable. Cost of a state is the size of everything its visited
-    regions expose; the heuristic adds the goal's not-yet-exposed regions,
-    which no completion can avoid.
+    E is the union of the rows of the regions a path has occupied, its cost
+    so far is |E|, and the cost of finishing it depends only on its region
+    and E. So (region, E) is an exact state, and two arrivals at one key
+    cost the same: a push-time set of keys dedupes them. g is E's growth
+    past the start's row and h, the goal's regions outside E, is
+    consistent. The loop's best g of 0 at the start drops every return to
+    it, which the start's own node dominates.
 
-    Exponential in the worst case. After node_budget expansions the search
-    stops with a budget_exceeded result instead of returning a suboptimal
-    path silently.
+    Keys on E admit walks, so a found walk has its loops cut. That can only
+    shrink E, and the walk was optimal, so the path costs the same.
+
+    Exponential in the worst case, so it stops as budget_exceeded after
+    node_budget expansions rather than return a suboptimal path. A goal
+    popped at the budget is still found; a frontier that runs out is no_path.
     """
     _check_query(env, field, s, g)
     if node_budget < 1:
@@ -407,55 +417,33 @@ def plan_exact(env, field, s: int, g: int,
     t0 = time.perf_counter()
 
     rows, adj = field.rows, env.adjacency
-    goal_set = rows[g]
-    eps0 = rows[s]
-    f0 = (eps0 | goal_set).bit_count()
-    # node rows: (region, parent_idx, visited bitset, exposed bitset)
-    heap = [(f0, f0 - eps0.bit_count(), s, 0)]
-    nodes = [(s, -1, 1 << s, eps0)]
-    seen = {(s, 1 << s)}
-    expansions = 0
-    while heap:
-        f, hr, region, idx = heapq.heappop(heap)
-        _, parent_idx, visited, eps = nodes[idx]
-        if region == g:
-            return _result("exact", params, s, g, t0, expansions,
-                           _walk_nodes(nodes, idx), eps.bit_count())
-        if expansions >= node_budget:
-            return _result("exact", params, s, g, t0, expansions,
-                           status=BUDGET_EXCEEDED)
-        expansions += 1
+    goal_set, base = rows[g], field._counts[s]
+    seen = {(s, rows[s])}
+
+    def expand(region, seq, gg, acc, heap, best_g, counter):
+        acc |= rows[region]
         for nb in adj[region]:
-            bit = 1 << nb
-            if visited & bit:
-                continue
-            nvis = visited | bit
-            key = (nb, nvis)
-            if key in seen:
-                continue
-            seen.add(key)
-            neps = eps | rows[nb]
-            cost = neps.bit_count()
-            nf = (neps | goal_set).bit_count()
-            nodes.append((nb, idx, nvis, neps))
-            heapq.heappush(heap, (nf, nf - cost, nb, len(nodes) - 1))
-    return _result("exact", params, s, g, t0, expansions)
+            key = (nb, acc | rows[nb])
+            if key not in seen:
+                seen.add(key)
+                ng = key[1].bit_count() - base
+                hn = (goal_set ^ (goal_set & key[1])).bit_count()
+                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+        return acc
 
-
-def _walk_nodes(nodes, idx):
+    h0 = (goal_set ^ (goal_set & rows[s])).bit_count()
+    status, walk, cost, n = _best_first(env.n, s, g, h0, 0, expand, node_budget)
+    if walk is None:
+        return _result("exact", params, s, g, t0, status, None, None, n)
     path = []
-    while idx >= 0:
-        path.append(nodes[idx][0])
-        idx = nodes[idx][1]
-    path.reverse()
-    return path
+    for r in walk:  # cut the walk's loops
+        if r in path:
+            del path[path.index(r):]
+        path.append(r)
+    return _result("exact", params, s, g, t0, status, path, cost + base, n)
 
 
-def _result(algorithm, params, s, g, t0, expansions, path=None, cost=None,
-            status=None) -> PlanResult:
-    """Every planner's PlanResult: found with a path, else no_path, unless
-    status says otherwise."""
-    status = status or (NO_PATH if path is None else FOUND)
+def _result(algorithm, params, s, g, t0, status, path, cost, expansions) -> PlanResult:
     return PlanResult(algorithm, status, s, g, path, None if cost is None else float(cost),
                       expansions, time.perf_counter() - t0, params)
 

@@ -3,8 +3,9 @@
 Each test prints a single verdict line ("[acceptance] criterion N ...:
 PASS/FAIL (measured numbers)") before asserting, so a red run still
 reports what was measured. Run with `pytest tests/test_acceptance.py -v -s`
-to watch the lines as they come; criteria 4 and 9 plan thousands of
-queries and take a few minutes on one core.
+to watch the lines as they come. Criterion 4, which runs the exact
+planner at a 500k budget on 180 queries, is the slowest at about 25 s on a
+2-core Xeon; criterion 9 takes about 10 s.
 """
 
 import math

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -354,6 +355,13 @@ class TestConfigParsing:
             config_from_mapping({"seeds": "1, -2"})
         with pytest.raises(ConfigError, match="'query_seed'"):
             config_from_mapping({"query_seed": "-1"})
+        for key, value in (("cell_size", "-1"), ("cell_size", "0"), ("cell_size", "inf"),
+                           ("max_step", "-1"), ("max_step", "nan"),
+                           ("d", "-2"), ("d", "inf"), ("d", "nan")):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                config_from_mapping({key: value})
+        # an unbounded climb and a sensor on the ground are valid worlds
+        assert config_from_mapping({"max_step": "inf", "d": "0"}).max_step == math.inf
         # an empty list would drop cells or whole runs without a word
         with pytest.raises(ConfigError, match="'taus'.*saturation"):
             config_from_mapping({"taus": "", "algorithms": "shortest, saturation"})

@@ -5,7 +5,7 @@ import pytest
 
 from stealthpath import (ALGORITHMS, ExperimentConfig, bench, build_environment,
                          compute_exposure_field, config_from_mapping,
-                         load_heightmap, result_record, search)
+                         field_cache_path, load_heightmap, result_record, search)
 from stealthpath.cli import build_parser, main
 from stealthpath.render import load_pgm
 
@@ -170,6 +170,32 @@ class TestFieldCache:
         assert cache.read_bytes() == good
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
             [cache.name, "img.pgm", "map.txt"])
+
+    def test_unwritable_cache_dir_warns_and_plans(self, tmp_path, capsys):
+        p = make_map(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, so no directory can sit under it")
+        args = ["plan", "--map", str(p), "--alg", "shortest",
+                "--start", "0,0", "--goal", "5,5"]
+        assert main(args + ["--cache-dir", str(blocker / "sub")]) == 0
+        out, err = capsys.readouterr()
+        assert "warning: cannot write field cache" in err
+        rec = json.loads(out)
+        assert main(args + ["--no-cache"]) == 0
+        assert rec["status"] == "found"
+        assert rec["path"] == json.loads(capsys.readouterr().out)["path"]
+        assert list(tmp_path.glob("**/*.expf")) == []
+
+    def test_unreadable_cache_entry_warns_and_plans(self, tmp_path, capsys):
+        p = make_map(tmp_path)
+        entry = field_cache_path(p.read_bytes(), 1.0, tmp_path)
+        entry.mkdir()
+        assert main(["plan", "--map", str(p), "--alg", "shortest",
+                     "--start", "0,0", "--goal", "5,5"]) == 0
+        out, err = capsys.readouterr()
+        assert "invalid field cache" in err and "cannot write field cache" in err
+        assert json.loads(out)["status"] == "found"
+        assert entry.is_dir()
 
     def test_no_cache_flag(self, tmp_path):
         p = make_map(tmp_path)

@@ -180,6 +180,50 @@ def reference_plan_ess(env, field, s, g):
                                   h=lambda r: env.manhattan3(r, g) * delta)
 
 
+def reference_plan_exact(env, field, s, g, node_budget):
+    """The (region, visited set) exact planner, frozen as the oracle for the
+    (region, exposed set) one: only unvisited successors are generated, and
+    a node carries its visited and exposed bitsets.
+
+    Returns (path, cost, expansions, status).
+    """
+    rows, adj = field.rows, env.adjacency
+    goal_set = rows[g]
+    eps0 = rows[s]
+    f0 = (eps0 | goal_set).bit_count()
+    heap = [(f0, f0 - eps0.bit_count(), s, 0)]
+    nodes = [(s, -1, 1 << s, eps0)]
+    seen = {(s, 1 << s)}
+    expansions = 0
+    while heap:
+        f, hr, region, idx = heapq.heappop(heap)
+        _, parent_idx, visited, eps = nodes[idx]
+        if region == g:
+            path = []
+            while idx >= 0:
+                path.append(nodes[idx][0])
+                idx = nodes[idx][1]
+            return path[::-1], float(eps.bit_count()), expansions, FOUND
+        if expansions >= node_budget:
+            return None, None, expansions, BUDGET_EXCEEDED
+        expansions += 1
+        for nb in adj[region]:
+            bit = 1 << nb
+            if visited & bit:
+                continue
+            nvis = visited | bit
+            key = (nb, nvis)
+            if key in seen:
+                continue
+            seen.add(key)
+            neps = eps | rows[nb]
+            cost = neps.bit_count()
+            nf = (neps | goal_set).bit_count()
+            nodes.append((nb, idx, nvis, neps))
+            heapq.heappush(heap, (nf, nf - cost, nb, len(nodes) - 1))
+    return None, None, expansions, NO_PATH
+
+
 def reference_path_counts(field, path, tau):
     """The members-based path_counts, frozen as its oracle."""
     counts = np.zeros(field.n, dtype=np.int64)
@@ -603,6 +647,68 @@ class TestShortestAndEssMatchRegionOracle:
         assert_region_matches_oracle(planner, oracle, env, field, random_queries(env, 8, seed))
 
 
+EXACT_ORACLE_BUDGET = 20_000
+
+
+def assert_exact_matches_oracle(env, field, queries, budget=EXACT_ORACLE_BUDGET):
+    """Same status and cost wherever the oracle stays within its budget; every
+    path found is simple, traversable and priced at its obj_bin."""
+    for s, g in queries:
+        _, want_cost, _, want_status = reference_plan_exact(env, field, s, g, budget)
+        res = plan_exact(env, field, s, g, budget)
+        if want_status != BUDGET_EXCEEDED:
+            assert (res.status, res.cost) == (want_status, want_cost), (s, g)
+        if res.found:
+            path = res.path
+            assert path[0] == s and path[-1] == g, (s, g)
+            assert len(set(path)) == len(path), (s, g, path)
+            validate_path(env, path)
+            assert obj_bin(field, path) == res.cost, (s, g)
+        else:
+            assert res.path is None and res.cost is None
+
+
+class TestExactMatchesVisitedSetOracle:
+    """plan_exact on (region, exposed set) nodes finds the frozen visited-set
+    planner's optimum wherever that planner finds one. Paths may differ on
+    ties and expansion counts differ."""
+
+    def test_fixture(self):
+        fx = lemma1_fixture()
+        queries = [(a, b) for a in range(fx.graph.n) for b in range(fx.graph.n)]
+        assert_exact_matches_oracle(fx.graph, fx.field, queries)
+
+    @pytest.mark.parametrize("world, count", [("boxes12", 40), ("hills20", 25)])
+    def test_maps(self, world, count, request):
+        env, field = request.getfixturevalue(world)
+        assert_exact_matches_oracle(env, field, random_queries(env, count, 5))
+
+    @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_explicit_graph_past_one_machine_word(self, seed, with_points):
+        n = 90
+        rng = np.random.default_rng(seed)
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(40)]
+        points = rng.uniform(0.0, 3.0, (n, 3)) if with_points else None
+        graph = ExplicitGraph(n, edges, points=points)
+        field = random_field(rng, n, 0.2)
+        queries = random_queries(graph, 12, seed) + [(0, n - 1), (n - 1, 3)]
+        assert_exact_matches_oracle(graph, field, queries)
+
+    def test_unreachable_goal(self):
+        graph = ExplicitGraph(12, [(i, i + 1) for i in range(5)])
+        field = random_field(np.random.default_rng(0), 12, 0.3)
+        assert_exact_matches_oracle(graph, field, [(0, 11), (11, 0), (2, 4)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1, 5), (7, 1), (3, 3), (4, 5), (2, 8), (5, 5)]))
+    def test_random_grids(self, seed, shape):
+        env, field = random_world(seed, shape, max_step=float(seed % 3))
+        assert_exact_matches_oracle(env, field, random_queries(env, 8, seed))
+
+
 class TestPlanExact:
     def test_fixture_objectives(self):
         fx = lemma1_fixture()
@@ -615,6 +721,31 @@ class TestPlanExact:
         assert res.status == BUDGET_EXCEEDED
         assert res.path is None
         assert res.expansions == 1
+
+    @pytest.mark.parametrize("budget", [2, 3, 10, 257, 2000])
+    def test_budget_stop_reports_the_budget(self, hills50, budget):
+        env, field = hills50
+        res = plan_exact(env, field, 0, env.n - 1, node_budget=budget)
+        assert (res.status, res.path, res.expansions) == (BUDGET_EXCEEDED, None, budget)
+
+    def test_frontier_that_runs_out_at_the_budget_is_no_path(self):
+        graph = ExplicitGraph(12, [(i, i + 1) for i in range(5)] + [(1, 4)])
+        field = random_field(np.random.default_rng(0), 12, 0.3)
+        total = plan_exact(graph, field, 0, 11).expansions
+        assert total > 1
+        res = plan_exact(graph, field, 0, 11, node_budget=total)
+        assert (res.status, res.expansions) == (NO_PATH, total)
+        res = plan_exact(graph, field, 0, 11, node_budget=total - 1)
+        assert (res.status, res.expansions) == (BUDGET_EXCEEDED, total - 1)
+
+    def test_goal_popped_at_the_budget_is_found(self, boxes12):
+        env, field = boxes12
+        full = plan_exact(env, field, 0, 30)
+        # the goal's pop is the last of full.expansions
+        res = plan_exact(env, field, 0, 30, node_budget=full.expansions - 1)
+        assert (res.status, res.path, res.expansions) == (FOUND, full.path, full.expansions)
+        res = plan_exact(env, field, 0, 30, node_budget=full.expansions - 2)
+        assert (res.status, res.expansions) == (BUDGET_EXCEEDED, full.expansions - 2)
 
     def test_budget_validation(self, flat5):
         env, field = flat5
