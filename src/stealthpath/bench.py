@@ -182,7 +182,6 @@ class OracleOverflowError(RuntimeError):
 
 
 def brute_force_min_exposure(env, field, s: int, g: int,
-                             max_path_len: Optional[int] = None,
                              step_limit: int = 5_000_000) -> Optional[int]:
     """Minimum obj_bin over every simple traversable path from s to g.
 
@@ -193,13 +192,10 @@ def brute_force_min_exposure(env, field, s: int, g: int,
     """
     if not (0 <= s < env.n and 0 <= g < env.n):
         raise ValueError(f"query ({s}, {g}) outside [0, {env.n})")
-    limit = env.n if max_path_len is None else max_path_len
-    if limit < 1:
-        raise ValueError(f"max_path_len must be positive, got {max_path_len}")
     best: Optional[int] = None
     steps = 0
 
-    def dfs(region: int, visited: int, union: int, depth: int) -> None:
+    def dfs(region: int, visited: int, union: int) -> None:
         nonlocal best, steps
         steps += 1
         if steps > step_limit:
@@ -211,15 +207,13 @@ def brute_force_min_exposure(env, field, s: int, g: int,
         if region == g:
             best = exposed
             return
-        if depth == limit:
-            return
         for nb in env.neighbors(region):
             bit = 1 << nb
             if visited & bit:
                 continue
-            dfs(nb, visited | bit, union | field.exposure_set(nb), depth + 1)
+            dfs(nb, visited | bit, union | field.exposure_set(nb))
 
-    dfs(s, 1 << s, field.exposure_set(s), 1)
+    dfs(s, 1 << s, field.exposure_set(s))
     return best
 
 
@@ -293,22 +287,8 @@ class ExperimentConfig:
     timing: bool = True
 
 
-_CONFIG_KEYS = {
-    "maps": "kinds",
-    "sizes": "sizes",
-    "seeds": "seeds",
-    "queries": "queries",
-    "algorithms": "algorithms",
-    "taus": "taus",
-    "p_success": "p_success",
-    "budget": "node_budget",
-    "cell_size": "cell_size",
-    "max_step": "max_step",
-    "d": "d",
-    "query_seed": "query_seed",
-    "workers": "workers",
-    "timing": "timing",
-}
+# Each config key names an ExperimentConfig field, but for these two.
+_CONFIG_KEYS = {"maps": "kinds", "budget": "node_budget"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -328,13 +308,14 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     for key, value in mapping.items():
-        if key not in _CONFIG_KEYS:
+        field_name = _CONFIG_KEYS.get(key, key)
+        if field_name not in defaults or key in _CONFIG_KEYS.values():
             raise ConfigError(f"unknown config key '{key}'")
-        field_name = _CONFIG_KEYS[key]
         try:
-            kwargs[field_name] = _parse_config_value(field_name, value)
+            kwargs[field_name] = _parse_config_value(defaults[field_name], value)
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': {exc}") from None
     cfg = ExperimentConfig(**kwargs)
@@ -353,6 +334,8 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             ("taus", len(cfg.taus) > 0 or "saturation" not in cfg.algorithms,
              "must list at least one tau when algorithms include saturation"),
             ("workers", cfg.workers >= 1, f"must be at least 1, got {cfg.workers}"),
+            ("workers", cfg.workers == 1 or not cfg.timing,
+             f"must be 1 while timing is on, got {cfg.workers}"),
             ("queries", cfg.queries >= 0, f"must be non-negative, got {cfg.queries}"),
             ("p_success", 0.0 < cfg.p_success < 1.0, f"must be in (0, 1), got {cfg.p_success}"),
             ("taus", all(int(t) == t and t >= 1 for t in cfg.taus),
@@ -373,23 +356,20 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     return cfg
 
 
-def _parse_config_value(field_name: str, value: str):
-    if field_name in ("kinds", "algorithms"):
-        return tuple(v.strip() for v in value.split(",") if v.strip())
-    if field_name in ("sizes", "seeds", "taus"):
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    if field_name in ("queries", "node_budget", "query_seed", "workers"):
-        return int(value)
-    if field_name in ("p_success", "cell_size", "max_step", "d"):
-        return float(value)
-    if field_name == "timing":
+def _parse_config_value(default, value: str):
+    """Parse a value as the type of its field's default: a comma-separated
+    tuple of str or int, a boolean word, an int or a float."""
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return tuple(item(v.strip()) for v in value.split(",") if v.strip())
+    if isinstance(default, bool):
         low = value.lower()
         if low in ("true", "yes", "1", "on"):
             return True
         if low in ("false", "no", "0", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    raise ValueError(f"unhandled field {field_name}")
+    return type(default)(value)
 
 
 def _query_cells(config: ExperimentConfig) -> list[tuple[str, Optional[int]]]:

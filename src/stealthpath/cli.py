@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--m", type=float, default=None,
                         help="binary planner movement cost (default 1/(2n))")
     p_plan.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
-                        help="exact planner expansion budget")
+                        help="exact planner expansion budget (default %(default)s)")
     p_plan.set_defaults(func=cmd_plan)
 
     p_cor = sub.add_parser("corridor",
@@ -118,9 +118,8 @@ class _World:
             self.env = build_environment(elev, cell_size=cell_size, d=args.d,
                                          max_step=args.max_step,
                                          connectivity=args.connectivity)
-            cache_dir = args.cache_dir if args.cache_dir else map_path.parent
-            self.field = mapio.load_or_compute_field(
-                self.env, raw, cache_dir, use_cache=not args.no_cache)
+            cache_dir = None if args.no_cache else args.cache_dir or map_path.parent
+            self.field = mapio.load_or_compute_field(self.env, raw, cache_dir)
             self.fixture = None
 
     def region(self, spec: str) -> int:

@@ -116,7 +116,7 @@ def field_cache_path(map_bytes: bytes, d: float, cache_dir) -> Path:
 
 
 def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
-                          cache_dir=None, use_cache: bool = True) -> ExposureField:
+                          cache_dir=None) -> ExposureField:
     """Fetch the environment's exposure field, going through the cache if
     a map identity (its raw bytes) and a cache directory are supplied.
 
@@ -125,7 +125,7 @@ def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
     cache that cannot be written is reported on stderr too, and the field
     built is returned all the same."""
     cache_path = None
-    if use_cache and map_bytes is not None and cache_dir is not None:
+    if map_bytes is not None and cache_dir is not None:
         cache_path = field_cache_path(map_bytes, env.d, cache_dir)
         if cache_path.exists():
             try:

@@ -64,7 +64,7 @@ NO_PATH = "no_path"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_P_SUCCESS = 0.95
-DEFAULT_NODE_BUDGET = 5_000_000
+DEFAULT_NODE_BUDGET = 200_000
 
 ALGORITHMS = ("shortest", "ess", "binary", "saturation", "exact")
 
@@ -193,13 +193,13 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     """
     _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    scores = field.scores()
+    counts, n = field._counts, field.n
     delta = field.min_score()
     adj, manhattan3 = env.adjacency, env.manhattan3
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         for nb in adj[region]:
-            ng = gg + scores[nb]
+            ng = gg + counts[nb] / n
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = manhattan3(nb, g) * delta

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from stealthpath import (DEFAULT_MAX_STEP, ExperimentConfig, FOUND,
                          traversable, write_records_jsonl, write_summary_csv)
 from stealthpath import search
 from stealthpath.bench import BOX_HEIGHT, MIN_MAP_SIZE, ConfigError, load_records_jsonl
+
+STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
 TINY = dict(kinds=("boxes",), sizes=(12,), seeds=(1,), queries=2,
             algorithms=("shortest", "ess", "binary", "saturation", "exact"),
@@ -373,6 +377,67 @@ class TestConfigParsing:
                 config_from_mapping({"workers": workers})
         # taus may stay empty when no saturation cell needs one
         assert config_from_mapping({"taus": "", "algorithms": "shortest"}).taus == ()
+        # timed runs stay sequential, so several workers need timing off
+        for mapping in ({"workers": "2", "timing": "on"}, {"workers": "3"}):
+            with pytest.raises(ConfigError, match="'workers'.*timing"):
+                config_from_mapping(mapping)
+        for timing in ("on", "off"):
+            assert config_from_mapping({"workers": "1", "timing": timing}).workers == 1
+        assert config_from_mapping({"workers": "2", "timing": "off"}).workers == 2
+        # a key named apart from its field does not answer to the field's name
+        for key in ("kinds", "node_budget"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config_from_mapping({key: "1"})
+
+    def test_every_key_parses_as_its_field(self):
+        text = """
+        maps = hills
+        sizes = 10, 12
+        seeds = 4
+        queries = 7
+        algorithms = exact, binary
+        taus = 2
+        p_success = 0.5
+        budget = 99
+        cell_size = 2.5
+        max_step = 3
+        d = 0
+        query_seed = 8
+        workers = 2
+        timing = no
+        """
+        cfg = config_from_mapping(parse_config_text(text))
+        assert cfg == ExperimentConfig(
+            kinds=("hills",), sizes=(10, 12), seeds=(4,), queries=7,
+            algorithms=("exact", "binary"), taus=(2,), p_success=0.5,
+            node_budget=99, cell_size=2.5, max_step=3.0, d=0.0, query_seed=8,
+            workers=2, timing=False)
+        assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == [
+            tuple, tuple, tuple, int, tuple, tuple, float, int, float, float,
+            float, int, int, bool]
+        with pytest.raises(ConfigError, match="'timing'.*boolean"):
+            config_from_mapping({"timing": "maybe"})
+
+    def test_study_configs_parse(self):
+        names = sorted(path.name for path in STUDIES.glob("*.cfg"))
+        assert names == ["gap.cfg", "runtime-boxes.cfg", "runtime-hills.cfg",
+                         "width-boxes.cfg", "width-hills.cfg"]
+        studies = {name: config_from_mapping(parse_config_text((STUDIES / name).read_text()))
+                   for name in names}
+        # the two maps of a study differ in their kind and seed only
+        for study in ("runtime", "width"):
+            boxes, hills = studies[f"{study}-boxes.cfg"], studies[f"{study}-hills.cfg"]
+            assert (boxes.kinds, boxes.seeds, hills.kinds, hills.seeds) == (
+                ("boxes",), (7,), ("hills",), (11,))
+            assert dataclasses.replace(boxes, kinds=hills.kinds, seeds=hills.seeds) == hills
+
+    def test_gap_study_is_criterion_4(self):
+        cfg = config_from_mapping(parse_config_text((STUDIES / "gap.cfg").read_text()))
+        assert cfg.timing
+        assert dataclasses.replace(cfg, timing=False) == ExperimentConfig(
+            kinds=("boxes", "hills"), sizes=(20,), seeds=(1, 2, 3), queries=30,
+            algorithms=("shortest", "ess", "binary", "exact"),
+            node_budget=500_000, query_seed=0, timing=False)
 
     def test_size_floor_is_the_generators_floor(self):
         assert config_from_mapping({"sizes": str(MIN_MAP_SIZE)}).sizes == (MIN_MAP_SIZE,)

@@ -114,7 +114,7 @@ class TestFieldCache:
         elev = np.zeros((2, 2))
         raw = format_heightmap(elev, 1.0).encode()
         env = build_environment(elev)
-        load_or_compute_field(env, raw, tmp_path, use_cache=False)
+        load_or_compute_field(env, raw, None)
         assert list(tmp_path.iterdir()) == []
 
     def test_mismatched_cache_is_recomputed(self, tmp_path, capsys):
