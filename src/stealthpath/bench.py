@@ -29,7 +29,6 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -286,6 +285,46 @@ class ExperimentConfig:
     workers: int = 1
     timing: bool = True
 
+    def __post_init__(self):
+        """Raise ConfigError, naming the config file's key, for a value no
+        experiment can run with."""
+        for kind in self.kinds:
+            if kind not in MAP_KINDS:
+                raise ConfigError(f"config key 'maps': unknown kind '{kind}'")
+        for alg in self.algorithms:
+            if alg not in ALGORITHMS:
+                raise ConfigError(f"config key 'algorithms': unknown algorithm '{alg}'")
+        # every value is checked at construction, before the first map is built
+        for key, ok, problem in (
+                ("maps", len(self.kinds) > 0, "must name at least one map kind"),
+                ("algorithms", len(self.algorithms) > 0, "must name at least one algorithm"),
+                ("sizes", len(self.sizes) > 0, "must list at least one size"),
+                ("seeds", len(self.seeds) > 0, "must list at least one seed"),
+                ("taus", len(self.taus) > 0 or "saturation" not in self.algorithms,
+                 "must list at least one tau when algorithms include saturation"),
+                ("workers", self.workers >= 1, f"must be at least 1, got {self.workers}"),
+                ("workers", self.workers == 1 or not self.timing,
+                 f"must be 1 while timing is on, got {self.workers}"),
+                ("queries", self.queries >= 0, f"must be non-negative, got {self.queries}"),
+                ("p_success", 0.0 < self.p_success < 1.0,
+                 f"must be in (0, 1), got {self.p_success}"),
+                ("taus", all(int(t) == t and t >= 1 for t in self.taus),
+                 "entries must be positive integers"),
+                ("sizes", all(v >= MIN_MAP_SIZE for v in self.sizes),
+                 f"entries must be at least {MIN_MAP_SIZE}, got {self.sizes}"),
+                ("seeds", all(v >= 0 for v in self.seeds),
+                 f"entries must be non-negative, got {self.seeds}"),
+                ("budget", self.node_budget >= 1, f"must be positive, got {self.node_budget}"),
+                # the bounds GridEnvironment enforces
+                ("cell_size", 0.0 < self.cell_size < math.inf,
+                 f"must be positive and finite, got {self.cell_size}"),
+                ("max_step", self.max_step >= 0.0, f"must be non-negative, got {self.max_step}"),
+                ("d", 0.0 <= self.d < math.inf, f"must be non-negative and finite, got {self.d}"),
+                ("query_seed", self.query_seed >= 0,
+                 f"must be non-negative, got {self.query_seed}")):
+            if not ok:
+                raise ConfigError(f"config key '{key}': {problem}")
+
 
 # Each config key names an ExperimentConfig field, but for these two.
 _CONFIG_KEYS = {"maps": "kinds", "budget": "node_budget"}
@@ -318,42 +357,7 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
             kwargs[field_name] = _parse_config_value(defaults[field_name], value)
         except ValueError as exc:
             raise ConfigError(f"config key '{key}': {exc}") from None
-    cfg = ExperimentConfig(**kwargs)
-    for kind in cfg.kinds:
-        if kind not in MAP_KINDS:
-            raise ConfigError(f"config key 'maps': unknown kind '{kind}'")
-    for alg in cfg.algorithms:
-        if alg not in ALGORITHMS:
-            raise ConfigError(f"config key 'algorithms': unknown algorithm '{alg}'")
-    # every value is checked here, before the first map is built
-    for key, ok, problem in (
-            ("maps", len(cfg.kinds) > 0, "must name at least one map kind"),
-            ("algorithms", len(cfg.algorithms) > 0, "must name at least one algorithm"),
-            ("sizes", len(cfg.sizes) > 0, "must list at least one size"),
-            ("seeds", len(cfg.seeds) > 0, "must list at least one seed"),
-            ("taus", len(cfg.taus) > 0 or "saturation" not in cfg.algorithms,
-             "must list at least one tau when algorithms include saturation"),
-            ("workers", cfg.workers >= 1, f"must be at least 1, got {cfg.workers}"),
-            ("workers", cfg.workers == 1 or not cfg.timing,
-             f"must be 1 while timing is on, got {cfg.workers}"),
-            ("queries", cfg.queries >= 0, f"must be non-negative, got {cfg.queries}"),
-            ("p_success", 0.0 < cfg.p_success < 1.0, f"must be in (0, 1), got {cfg.p_success}"),
-            ("taus", all(int(t) == t and t >= 1 for t in cfg.taus),
-             "entries must be positive integers"),
-            ("sizes", all(v >= MIN_MAP_SIZE for v in cfg.sizes),
-             f"entries must be at least {MIN_MAP_SIZE}, got {cfg.sizes}"),
-            ("seeds", all(v >= 0 for v in cfg.seeds),
-             f"entries must be non-negative, got {cfg.seeds}"),
-            ("budget", cfg.node_budget >= 1, f"must be positive, got {cfg.node_budget}"),
-            # the bounds GridEnvironment enforces
-            ("cell_size", 0.0 < cfg.cell_size < math.inf,
-             f"must be positive and finite, got {cfg.cell_size}"),
-            ("max_step", cfg.max_step >= 0.0, f"must be non-negative, got {cfg.max_step}"),
-            ("d", 0.0 <= cfg.d < math.inf, f"must be non-negative and finite, got {cfg.d}"),
-            ("query_seed", cfg.query_seed >= 0, f"must be non-negative, got {cfg.query_seed}")):
-        if not ok:
-            raise ConfigError(f"config key '{key}': {problem}")
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def _parse_config_value(default, value: str):
@@ -459,11 +463,15 @@ def run_experiment(config: ExperimentConfig,
     Records arrive in deterministic cell order: maps in config order, then
     query index, then algorithm cell. With workers > 1 and timing disabled,
     maps run in a process pool; timed runs stay sequential so runtime ratios
-    are not distorted by core contention.
+    are not distorted by core contention (the config rejects workers > 1
+    with timing on).
     """
     total = len(config.kinds) * len(config.sizes) * len(config.seeds)
     jobs = [(config, mi) for mi in range(total)]
-    parallel = config.workers > 1 and not config.timing
+    parallel = config.workers > 1
+    if parallel:
+        # imported here: it adds 10-30 ms to a plain `import stealthpath`
+        from concurrent.futures import ProcessPoolExecutor
     records: list[dict] = []
     with ProcessPoolExecutor(config.workers) if parallel else contextlib.nullcontext() as pool:
         for i, chunk in enumerate(pool.map(_map_records, jobs) if parallel

@@ -32,14 +32,17 @@ import numpy as np
 
 LOS_SAMPLES_PER_CELL = 4
 
-# (pairs x evaluated samples) elements per batch of the field builder:
-# small enough that its scratch arrays stay in cache.
+# (pairs x evaluated samples) elements per block of the field builder's run
+# test and per batch of its boundary samples: small enough that its scratch
+# arrays stay in cache.
 _LOS_CHUNK_ELEMENTS = 25_000
 
-# pairs the field builder enumerates and certifies at once (rounded down to
-# whole batches): its per-pair arrays then stay well under glibc's mmap
-# threshold, as the batch arrays do
-_CERTIFY_PAIRS = 4096
+# pairs the field builder enumerates, certifies and run-tests at once
+# (rounded down to whole batches): its per-pair arrays, 64 KB of intp each,
+# then stay under glibc's mmap threshold. In paired builds of generated maps
+# 4096 was about 5% slower at 30x30 and 50x50, where each row block of the
+# run test covered fewer pairs, and 16384 about 7% slower at 50x50.
+_CERTIFY_PAIRS = 8192
 
 # rows per strip when ExposureField.validate checks symmetry; a multiple of
 # 8, so each strip of columns starts on a byte boundary of the packed rows
@@ -137,6 +140,19 @@ class GridEnvironment:
         pb = self._point_list[b]
         return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
 
+    def manhattan3_to(self, b: int) -> np.ndarray:
+        """manhattan3(a, b) of every region a, as a new float array."""
+        return _manhattan3_to(self.points, b)
+
+
+def _manhattan3_to(points: np.ndarray, b: int) -> np.ndarray:
+    """manhattan3(a, b) for every row a of points, with manhattan3's float
+    operations in its order, so each entry equals it exactly."""
+    dist = np.abs(points[:, 0] - points[b, 0])
+    dist += np.abs(points[:, 1] - points[b, 1])
+    dist += np.abs(points[:, 2] - points[b, 2])
+    return dist
+
 
 class ExplicitGraph:
     """Planning environment given directly as an adjacency list.
@@ -182,6 +198,12 @@ class ExplicitGraph:
             return 0.0
         pa, pb = self._point_list[a], self._point_list[b]
         return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
+
+    def manhattan3_to(self, b: int) -> np.ndarray:
+        """manhattan3(a, b) of every region a, as a new float array."""
+        if self.points is None:
+            return np.zeros(self.n)
+        return _manhattan3_to(self.points, b)
 
 
 def build_environment(elevations, cell_size: float = 1.0, d: float = 1.0,
@@ -375,8 +397,8 @@ class _GroupPlan(NamedTuple):
     them; everything depends only on the grid shape. Per-ray arrays hold one
     entry per ray, rays with ambiguous samples first (`mixed` of them)."""
     pairs: int  # source cells over all rays of the group
-    batch: int  # pairs per run-test batch
-    chunk: int  # pairs enumerated and certified at once, a multiple of batch
+    batch: int  # pairs per boundary-sample batch
+    chunk: int  # pairs enumerated, certified and run-tested at once, a multiple of batch
     starts: np.ndarray  # number of the ray's first pair in the group, per ray
     ends: np.ndarray  # starts plus the ray's pairs
     row_width: np.ndarray  # sources per grid row, per ray
@@ -409,7 +431,10 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
     families are merged while their pairs fit in one batch of
     _LOS_CHUNK_ELEMENTS evaluated samples. Each group is planned at once
     with _ray_plans, and its pairs are numbered ray by ray, rays with
-    ambiguous samples first so that few batches need the full rule.
+    ambiguous samples first so that few chunks need the full rule. Each
+    ray's runs are ordered midpoint-first, padding last: the run test sweeps
+    the rows in that order and drops a pair once it is blocked, and on
+    generated 50x50 maps it built about 1.1x faster than ray order.
     """
     drs, dcs = np.mgrid[0:height, -(width - 1):width]
     crossings = np.where((drs > 0) | (dcs > 0), drs + np.abs(dcs), 0)
@@ -428,6 +453,14 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
         order = np.argsort(~ambiguous.any(axis=0), kind="stable")
         dr, dc = drs[group][order], dcs[group][order]
         first, last, offset, ambiguous = (t[:, order] for t in (first, last, offset, ambiguous))
+        runs = (first > 0).sum(axis=0)
+        # run i of a ray with R runs goes to the row ranked by |2i - (R - 1)|,
+        # its distance from the ray's middle run; padding rows go after them
+        row = np.arange(len(first))[:, None]
+        rank = np.where(row < runs, np.abs(2 * row - (runs - 1)), len(first) + row)
+        middle = np.argsort(rank, axis=0, kind="stable")
+        first, last, offset = (np.take_along_axis(t, middle, axis=0)
+                               for t in (first, last, offset))
         row_width = width - np.abs(dc)
         ray_pairs = (height - dr) * row_width
         # the ray's bounding box: rows [0, dr] and columns [min(0, dc),
@@ -445,7 +478,7 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
         # tables that are only read through gathers are stored compact; the
         # pair numbers take part in arithmetic and stay intp
         tables = dict(row_width=row_width, first_col=np.maximum(-dc, 0),
-                      shift=dr * width + dc, corners=corners, runs=(first > 0).sum(axis=0),
+                      shift=dr * width + dc, corners=corners, runs=runs,
                       lows=np.concatenate((first, last), axis=1), offset=offset,
                       ambiguous=ambiguous)
         plans.append(_GroupPlan(count, batch, batch * max(1, _CERTIFY_PAIRS // batch),
@@ -502,8 +535,14 @@ def _box_max_table(elev: np.ndarray) -> np.ndarray:
 class BuildStats:
     """Work counts of one compute_exposure_field call: the pairs src < tgt,
     those the box certificate decided and those that went to the run test,
-    the run samples those pairs tested and the boundary samples sent through
-    the full rule. certified_pairs + run_tested_pairs == pairs."""
+    the run samples evaluated and the boundary samples sent through the full
+    rule. certified_pairs + run_tested_pairs == pairs.
+
+    run_samples counts each kept run of a pair in every row block the pair
+    took part in, padding excluded. A pair found blocked leaves the sweep
+    after its block, so its remaining runs are not counted: the count falls
+    as the sweep drops blocked pairs sooner, and it depends on the block
+    size (_LOS_CHUNK_ELEMENTS) and the row order."""
     pairs: int
     certified_pairs: int
     run_tested_pairs: int
@@ -534,7 +573,15 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     boundaries a pair floors every sample into its planned cell (see
     _BOUNDARY_TOL), so the cell index is the source plus the planned offset.
 
-    Boundary samples of pairs still visible go through _visible_pairs.
+    The builder run-tests a chunk of pairs at a time, sweeping the run rows
+    in blocks of at most _LOS_CHUNK_ELEMENTS tests, each ray's runs ordered
+    midpoint-first (_group_plans). A pair that a block finds blocked leaves
+    the chunk before the next block: any() over a pair's run tests does not
+    depend on the order they are made in.
+
+    Boundary samples of the pairs that survive every block go through
+    _visible_pairs. Each visible pair sets its bit (src, tgt) only, and the
+    matrix is mirrored once at the end (_mirror).
 
     The ray plans behind all three stages depend only on the grid shape and
     are kept for the most recent shape (_shape_plans), so repeated builds of
@@ -542,9 +589,10 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     carries the work counts as `build_stats` (BuildStats).
 
     O(n^2) pairs with rays O(sqrt(n)) cells long: on a 2-core Xeon (Python
-    3.11, numpy 2.4) a 30x30 map takes about 0.15 s, where the certificate
-    decides 36-53% of the pairs; 50x50 about 1.8 s (20-25%) and 100x100
-    about a minute (8%). Cache the field, see the mapio module.
+    3.11, numpy 2.4) a 30x30 map takes about 0.1 s, where the certificate
+    decides 36-53% of the pairs; 50x50 about 1 s (20-25%) and 100x100 about
+    20 s (5-8%), each in a fresh process. Cache the field, see the mapio
+    module.
     """
     n = env.n
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -563,8 +611,12 @@ def _certified_pairs(plan: _GroupPlan, start: int, stop: int, width: int,
     ray is each pair's column in the plan, sz and tz the heights of its
     ends, and certified whether the box certificate proves it visible. Its
     other arrays go when it returns, which keeps the builder's peak down."""
-    ray = np.repeat(np.arange(len(plan.starts)), np.clip(plan.ends, start, stop)
-                    - np.clip(plan.starts, start, stop))
+    # the rays holding pairs start..stop-1: from the one whose pairs end past
+    # start to the last one starting before stop
+    r0 = np.searchsorted(plan.ends, start, "right")
+    r1 = np.searchsorted(plan.starts, stop, "left")
+    ray = np.repeat(np.arange(r0, r1), np.minimum(plan.ends[r0:r1], stop)
+                    - np.maximum(plan.starts[r0:r1], start))
     # pair p of the group is source number p - starts[ray] of its ray; the
     # row and column of that source go into src and tgt in place
     src = np.arange(start, stop) - plan.starts[ray]
@@ -590,12 +642,14 @@ def _add_visible_pairs(env: GridEnvironment, packed: np.ndarray) -> BuildStats:
     (see compute_exposure_field); its scratch arrays go when it returns."""
     height, width = env.height, env.width
     pts = env.points
-    heights = np.ascontiguousarray(pts[:, 2])
+    xs, ys, heights = (np.ascontiguousarray(pts[:, k]) for k in range(3))
     elev = env._elev_flat
     step = env.cell_size / LOS_SAMPLES_PER_CELL
     box_max = _box_max_table(env.elevations)
     plans = _shape_plans(height, width)
-    most = max(_LOS_CHUNK_ELEMENTS, height + width)
+    # the largest run-test block holds max(_LOS_CHUNK_ELEMENTS, chunk) and a
+    # boundary batch at most max(_LOS_CHUNK_ELEMENTS, height + width) elements
+    most = max(_LOS_CHUNK_ELEMENTS, _CERTIFY_PAIRS, height + width)
     work = _work_arrays(most)
     certified = run_samples = boundary_samples = 0
     for plan in plans:
@@ -608,45 +662,85 @@ def _add_visible_pairs(env: GridEnvironment, packed: np.ndarray) -> BuildStats:
                 plan, start, min(start + plan.chunk, plan.pairs), width, heights, box_max)
             rest = np.flatnonzero(~seen)
             certified += len(seen) - len(rest)
-            run_samples += int(plan.runs[ray[rest]].sum())
-            for b0 in range(0, len(rest), plan.batch):
-                pick = rest[b0:b0 + plan.batch]
-                s, t, r = src[pick], tgt[pick], ray[pick]
-                span = np.hypot(pts[t, 0] - pts[s, 0], pts[t, 1] - pts[s, 1])
-                dz = tz[pick] - sz[pick]
-                # one row per run, one column per pair: the per-pair operands
-                # then broadcast along contiguous rows
-                shape = (plan.lows.shape[0], len(pick))
+            # the run-tested pairs, one column each: (source, target, ray,
+            # column of its lowest samples in lows) and (span, dz, sz).
+            # Each pair's lowest sample of every run is the first when the
+            # ray climbs and the last when it falls.
+            ints, floats = np.empty((4, len(rest)), np.intp), np.empty((3, len(rest)))
+            s, t, r, col = ints
+            span, dz, sz0 = floats
+            for whole, part in ((src, s), (tgt, t), (ray, r), (tz, dz), (sz, sz0)):
+                np.take(whole, rest, out=part)
+            dz -= sz0
+            np.multiply(dz < 0, rays, out=col)
+            col += r
+            np.hypot(xs[t] - xs[s], ys[t] - ys[s], out=span)
+            # the run rows in blocks of at most _LOS_CHUNK_ELEMENTS tests (or
+            # one row); the pairs a block finds blocked drop out before the
+            # next, so only the survivors reach the boundary samples
+            b0 = 0
+            while b0 < len(plan.lows) and ints.shape[1]:
+                alive = ints.shape[1]
+                b1 = min(len(plan.lows), b0 + max(1, _LOS_CHUNK_ELEMENTS // alive))
+                s, _, r, col = ints
+                span, dz, sz0 = floats
+                shape = (b1 - b0, alive)
                 size = shape[0] * shape[1]
                 z, ground, under, blocking = (work[i][:size].reshape(shape) for i in (0, 1, 3, 4))
                 cell = offsets[:size].reshape(shape)
-                # each pair's lowest sample of every run: the first when the
-                # ray climbs, the last when it falls. Padding (k = 0, offset
-                # 0) tests the source centre, which never blocks: sz is its
-                # elevation plus d >= 0. The indices are in range, so "clip"
-                # only lets take write into out.
-                np.take(lows, r + rays * (dz < 0), axis=1, out=z, mode="clip")
+                # padding (k = 0, offset 0) tests the source centre, which
+                # never blocks: sz is its elevation plus d >= 0. The indices
+                # are in range, so "clip" only lets take write into out.
+                np.take(lows[b0:b1], col, axis=1, out=z, mode="clip")
                 z /= span
                 z *= dz
-                z += sz[pick]
-                np.take(plan.offset, r, axis=1, out=cell, mode="clip")
+                z += sz0
+                np.take(plan.offset[b0:b1], r, axis=1, out=cell, mode="clip")
+                # every kept run lies outside the source cell, at a nonzero offset
+                run_samples += int(np.count_nonzero(cell))
                 np.add(cell, s, out=under)
                 np.greater(np.take(elev, under, out=ground, mode="clip"), z, out=blocking)
-                visible = ~blocking.any(axis=0)
-                if r[0] < plan.mixed:  # r ascends: rays with ambiguous samples come first
-                    check = np.flatnonzero(visible & (r < plan.mixed))
-                    if check.size:
-                        ks = plan.ambiguous[:, r[check]].T
-                        boundary_samples += int(np.count_nonzero(ks))
-                        visible[check] = _visible_pairs(env, s[check], t[check], work, ks * step)
-                seen[pick] = visible
-            src, tgt = src[seen], tgt[seen]
+                keep = np.flatnonzero(~blocking.any(axis=0))
+                if len(keep) < alive:
+                    ints, floats = ints.take(keep, axis=1), floats.take(keep, axis=1)
+                b0 = b1
+            s, t, r, _ = ints
+            # boundary samples of the pairs still visible on rays that have
+            # them (r ascends: those rays come first)
+            visible = np.ones(len(s), bool)
+            check = np.flatnonzero(r < plan.mixed)
+            for c0 in range(0, len(check), plan.batch):
+                pick = check[c0:c0 + plan.batch]
+                ks = plan.ambiguous[:, r[pick]].T
+                boundary_samples += int(np.count_nonzero(ks))
+                visible[pick] = _visible_pairs(env, s[pick], t[pick], work, ks * step)
+            src = np.concatenate((src[seen], s[visible]))
+            tgt = np.concatenate((tgt[seen], t[visible]))
             # a chunk can hold several targets in one byte of a row: ufunc.at
             # applies every one, where a fancy-indexed |= would keep only the last
             np.bitwise_or.at(packed, (src, tgt >> 3), (1 << (tgt & 7)).astype(np.uint8))
-            np.bitwise_or.at(packed, (tgt, src >> 3), (1 << (src & 7)).astype(np.uint8))
+    _mirror(packed, env.n)
     pairs = env.n * (env.n - 1) // 2
     return BuildStats(pairs, certified, pairs - certified, run_samples, boundary_samples)
+
+
+def _bit_strip(packed: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Bits of rows r0..r1-1 and columns c0..c1-1 of a packed matrix, one
+    bool each; c0 is a multiple of 8."""
+    raw = packed[r0:r1, c0 >> 3:(c1 + 7) >> 3]
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :c1 - c0]
+
+
+def _mirror(packed: np.ndarray, n: int) -> None:
+    """Copy every bit (i, j) with i < j of the (n, ceil(n/8)) bit matrix to
+    (j, i), in place, one strip of _VALIDATE_ROWS rows at a time, so that
+    O(_VALIDATE_ROWS * n) unpacked bits are held at once."""
+    for i0 in range(0, n, _VALIDATE_ROWS):
+        i1 = min(i0 + _VALIDATE_ROWS, n)
+        # the strip's columns hold only bits i < j yet: earlier strips wrote
+        # their rows at columns below i0 only
+        rows = _bit_strip(packed, i0, i1, 0, n) | _bit_strip(packed, 0, n, i0, i1).T
+        packed[i0:i1] = np.packbits(rows, axis=1, bitorder="little")
 
 
 # -- exposure field ----------------------------------------------------------
@@ -666,13 +760,9 @@ def _check_packed(packed: np.ndarray, n: int) -> None:
         bad = int(np.flatnonzero(diagonal == 0)[0])
         raise ValueError(f"exposure relation not reflexive at region {bad}")
 
-    def strip(r0, r1, c0, c1):
-        raw = packed[r0:r1, c0 >> 3:(c1 + 7) >> 3]
-        return np.unpackbits(raw, axis=1, bitorder="little")[:, :c1 - c0]
-
     for i0 in range(0, n, _VALIDATE_ROWS):
         i1 = min(i0 + _VALIDATE_ROWS, n)
-        diff = strip(i0, i1, 0, n) != strip(0, n, i0, i1).T
+        diff = _bit_strip(packed, i0, i1, 0, n) != _bit_strip(packed, 0, n, i0, i1).T
         if diff.any():
             i, j = (int(v[0]) for v in np.nonzero(diff))
             raise ValueError(f"exposure relation not symmetric at pair ({i + i0}, {j})")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from stealthpath import (DEFAULT_MAX_STEP, ExperimentConfig, FOUND,
                          obj_bin, optimality_gap, parse_config_text,
                          plan_exact, run_experiment, sample_query,
                          traversable, write_records_jsonl, write_summary_csv)
+import stealthpath
 from stealthpath import search
 from stealthpath.bench import BOX_HEIGHT, MIN_MAP_SIZE, ConfigError, load_records_jsonl
 
@@ -388,6 +392,38 @@ class TestConfigParsing:
         for key in ("kinds", "node_budget"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config_from_mapping({key: "1"})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"workers": 2}, "'workers'.*timing"),
+        ({"workers": 0}, "'workers'"),
+        ({"sizes": (5,)}, "'sizes'.*at least 10"),
+        ({"sizes": ()}, "'sizes'"),
+        ({"kinds": ("swamp",)}, "'maps'"),
+        ({"kinds": ()}, "'maps'"),
+        ({"algorithms": ("dijkstra",)}, "'algorithms'"),
+        ({"taus": (0, 1)}, "'taus'"),
+        ({"taus": (), "algorithms": ("shortest", "saturation")}, "'taus'.*saturation"),
+        ({"p_success": 1.5}, "'p_success'"),
+        ({"node_budget": 0}, "'budget'"),
+        ({"seeds": (1, -2)}, "'seeds'"),
+        ({"queries": -1}, "'queries'"),
+        ({"query_seed": -1}, "'query_seed'"),
+        ({"cell_size": math.inf}, "'cell_size'"),
+        ({"max_step": math.nan}, "'max_step'"),
+        ({"d": -2.0}, "'d'"),
+    ])
+    def test_a_config_built_in_python_is_checked_at_construction(self, kwargs, match):
+        # the same checks as a config file gets, before any map is built
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(**kwargs)
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # run_experiment imports it only for workers > 1
+        code = ("import sys, stealthpath; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        src = str(Path(stealthpath.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_every_key_parses_as_its_field(self):
         text = """

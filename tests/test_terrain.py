@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -329,6 +330,112 @@ class TestVisibleCertificate:
         assert compute_exposure_field(env) == reference_exposure_field(env)
 
 
+@pytest.fixture(params=[1, 9, 100])
+def small_blocks(request, monkeypatch):
+    """Run-test blocks and boundary batches of at most `param` elements (or
+    one row, or one pair), so that small maps sweep their runs in many
+    blocks; the plans are made afresh for it and the old ones come back."""
+    monkeypatch.setattr(terrain, "_LOS_CHUNK_ELEMENTS", request.param)
+    monkeypatch.setattr(terrain, "_plan_cache", None)
+    return request.param
+
+
+class TestRunSweep:
+    """The run test in row blocks, the compaction of blocked pairs between
+    blocks and the mirror of the src < tgt bits, against the every-sample
+    builder."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_mirror_at_byte_and_strip_edges(self, n, vertical):
+        # n around multiples of 8 (packed bytes) and of _VALIDATE_ROWS
+        # (mirror strips)
+        rng = np.random.default_rng(n)
+        elev = np.round(rng.uniform(0.0, 4.0, (n, 1) if vertical else (1, n)))
+        env = build_environment(elev, cell_size=0.3, d=1.0)
+        field = compute_exposure_field(env)
+        assert field == reference_exposure_field(env)
+        field.validate()
+
+    def test_mirror_on_a_grid_wider_than_a_strip_is_tall(self):
+        env = build_environment(np.round(np.random.default_rng(5).uniform(0.0, 4.0, (9, 15))),
+                                cell_size=0.3, d=1.0)
+        assert compute_exposure_field(env) == reference_exposure_field(env)
+
+    def test_mirror_copies_only_the_upper_bits(self):
+        n = 70
+        upper = np.triu(np.random.default_rng(0).random((n, n)) < 0.5, 1) | np.eye(n, dtype=bool)
+        packed = np.packbits(upper, axis=1, bitorder="little")
+        terrain._mirror(packed, n)
+        assert np.array_equal(np.unpackbits(packed, axis=1, count=n, bitorder="little"),
+                              upper | upper.T)
+
+    def test_a_group_whose_first_block_blocks_every_run_tested_pair(self):
+        # a comb: every fifth cell 5 m tall on a flat row, sensors 1 m up.
+        # Any pair at least 6 cells apart has a tall cell strictly between
+        # its ends, which blocks it unless both ends are tall (then the box
+        # certifies it). The pairs 20 and more cells apart form groups of
+        # their own, whose every run-tested pair is blocked in one block.
+        elev = np.zeros((1, 60))
+        elev[0, ::5] = 5.0
+        env = build_environment(elev, cell_size=1.0, d=1.0)
+        field = compute_exposure_field(env)
+        assert field == reference_exposure_field(env)
+        assert any(plan.offset.size and (np.abs(plan.shift) >= 20).all()
+                   for plan in terrain._shape_plans(1, 60))
+        for a in range(60):
+            for b in range(a + 6, 60):
+                assert bool(field.exposure_set(a) >> b & 1) == (a % 5 == b % 5 == 0), (a, b)
+
+    def test_a_pair_blocked_only_by_its_last_run(self, small_blocks):
+        # midpoint-first order tests the run next to an end last; here the
+        # run next to the target is the only one that blocks (0, 11)
+        elev = np.zeros((3, 12))
+        elev[1, 10] = 5.0
+        env = build_environment(elev, cell_size=1.0, d=1.0)
+        field = compute_exposure_field(env)
+        assert field == reference_exposure_field(env)
+        assert not field.exposure_set(env.index(1, 0)) >> env.index(1, 11) & 1
+        assert field.exposure_set(env.index(1, 0)) >> env.index(1, 10) & 1
+
+    def test_rays_with_no_runs(self):
+        # every sample of a 2x2 grid's rays lies in an end cell or on a
+        # boundary, so pairs the box cannot certify go straight to the
+        # boundary samples
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            env = build_environment(np.round(rng.uniform(0.0, 3.0, (2, 2))), d=1.0)
+            field = compute_exposure_field(env)
+            assert field == reference_exposure_field(env)
+            assert field.build_stats.run_samples == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_rays_that_survive_a_compaction(self, small_blocks, seed):
+        # small blocks drop blocked pairs between many blocks of each
+        # chunk; whole-metre heights on rows and grids leave pairs that only
+        # their boundary samples decide (every axis ray has some)
+        rng = np.random.default_rng(seed)
+        for shape in ((1, 17), (17, 1), (7, 8), (6, 11)):
+            elev = np.round(rng.uniform(0.0, 4.0, shape))
+            env = build_environment(elev, cell_size=0.3, d=1.0)
+            field = compute_exposure_field(env)
+            assert field == reference_exposure_field(env), shape
+            assert field.build_stats.boundary_samples > 0
+
+    def test_blocked_pairs_stop_counting_run_samples(self, monkeypatch):
+        # one-row blocks drop a blocked pair as soon as a row catches it;
+        # the pairs that survive, and so the boundary samples, are the same
+        env = build_environment(gen_boxes(3, 12), cell_size=DEFAULT_CELL_SIZE)
+        whole = compute_exposure_field(env)
+        monkeypatch.setattr(terrain, "_LOS_CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(terrain, "_plan_cache", None)
+        rows = compute_exposure_field(env)
+        assert rows == whole
+        assert rows.build_stats.run_samples < whole.build_stats.run_samples
+        assert (dataclasses.replace(rows.build_stats, run_samples=0)
+                == dataclasses.replace(whole.build_stats, run_samples=0))
+
+
 class TestBuildStats:
     def test_counts_add_up(self, boxes12):
         env, field = boxes12
@@ -541,6 +648,14 @@ class TestGridEnvironment:
         env = build_environment([[0.0, 2.0]], cell_size=4.0)
         assert env.manhattan3(0, 1) == pytest.approx(4.0 + 0.0 + 2.0)
 
+    def test_manhattan3_to_is_manhattan3_of_every_region(self):
+        env = build_environment(gen_hills(2, 12), cell_size=DEFAULT_CELL_SIZE)
+        graph = ExplicitGraph(env.n, [], points=env.points)
+        for b in (0, 37, env.n - 1):
+            for world in (env, graph):
+                assert world.manhattan3_to(b).tolist() == [world.manhattan3(a, b)
+                                                           for a in range(env.n)]
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="2D"):
             build_environment([1.0, 2.0])
@@ -601,3 +716,4 @@ class TestExplicitGraph:
         g = ExplicitGraph(2, [(0, 1)])
         assert g.min_steps(0, 1) == 0
         assert g.manhattan3(0, 1) == 0.0
+        assert g.manhattan3_to(1).tolist() == [0.0, 0.0]
