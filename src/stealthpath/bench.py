@@ -37,7 +37,7 @@ import numpy as np
 from .bitset import mask_from_indices
 from .corridor import build_corridor
 from .search import (ALGORITHMS, DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND,
-                     obj_bin, plan, plan_shortest, score_path)
+                     _whole, obj_bin, plan, plan_shortest, score_path)
 # Bound here though unused: perfbench/tracing.py wraps the planners and
 # objectives by name in this module as well as in search.
 from .search import (obj_acc, path_counts, plan_binary, plan_ess,  # noqa: F401
@@ -302,26 +302,29 @@ class ExperimentConfig:
                 ("seeds", len(self.seeds) > 0, "must list at least one seed"),
                 ("taus", len(self.taus) > 0 or "saturation" not in self.algorithms,
                  "must list at least one tau when algorithms include saturation"),
-                ("workers", self.workers >= 1, f"must be at least 1, got {self.workers}"),
+                ("workers", _whole(self.workers) and self.workers >= 1,
+                 f"must be an integer of at least 1, got {self.workers}"),
                 ("workers", self.workers == 1 or not self.timing,
                  f"must be 1 while timing is on, got {self.workers}"),
-                ("queries", self.queries >= 0, f"must be non-negative, got {self.queries}"),
+                ("queries", _whole(self.queries) and self.queries >= 0,
+                 f"must be a non-negative integer, got {self.queries}"),
                 ("p_success", 0.0 < self.p_success < 1.0,
                  f"must be in (0, 1), got {self.p_success}"),
-                ("taus", all(int(t) == t and t >= 1 for t in self.taus),
+                ("taus", all(_whole(t) and t >= 1 for t in self.taus),
                  "entries must be positive integers"),
-                ("sizes", all(v >= MIN_MAP_SIZE for v in self.sizes),
-                 f"entries must be at least {MIN_MAP_SIZE}, got {self.sizes}"),
-                ("seeds", all(v >= 0 for v in self.seeds),
-                 f"entries must be non-negative, got {self.seeds}"),
-                ("budget", self.node_budget >= 1, f"must be positive, got {self.node_budget}"),
+                ("sizes", all(_whole(v) and v >= MIN_MAP_SIZE for v in self.sizes),
+                 f"entries must be integers of at least {MIN_MAP_SIZE}, got {self.sizes}"),
+                ("seeds", all(_whole(v) and v >= 0 for v in self.seeds),
+                 f"entries must be non-negative integers, got {self.seeds}"),
+                ("budget", _whole(self.node_budget) and self.node_budget >= 1,
+                 f"must be a positive integer, got {self.node_budget}"),
                 # the bounds GridEnvironment enforces
                 ("cell_size", 0.0 < self.cell_size < math.inf,
                  f"must be positive and finite, got {self.cell_size}"),
                 ("max_step", self.max_step >= 0.0, f"must be non-negative, got {self.max_step}"),
                 ("d", 0.0 <= self.d < math.inf, f"must be non-negative and finite, got {self.d}"),
-                ("query_seed", self.query_seed >= 0,
-                 f"must be non-negative, got {self.query_seed}")):
+                ("query_seed", _whole(self.query_seed) and self.query_seed >= 0,
+                 f"must be a non-negative integer, got {self.query_seed}")):
             if not ok:
                 raise ConfigError(f"config key '{key}': {problem}")
 

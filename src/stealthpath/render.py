@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitset import bit_indices
+from .terrain import check_field_matches
 
 PATH_PIXEL = 0
 CORRIDOR_PIXEL = 255
@@ -22,8 +23,7 @@ CORRIDOR_PIXEL = 255
 
 def exposure_image(env, field) -> np.ndarray:
     """Exposure scores as a (height, width) uint8 image."""
-    if field.n != env.n:
-        raise ValueError(f"field covers {field.n} regions, map has {env.n}")
+    check_field_matches(env, field)
     levels = np.rint(255.0 * (1.0 - field.scores())).astype(np.uint8)
     return levels.reshape(env.height, env.width)
 

@@ -102,7 +102,7 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     """
     if len(path) == 0:
         raise ValueError("empty path")
-    tau = _check_tau(tau)
+    tau = _positive_int("tau", tau)
     n = field.n
     idx = np.asarray(path, dtype=np.intp)
     if idx.min() < 0 or idx.max() >= n:
@@ -122,7 +122,7 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
     clamp caps what any single region can contribute at tau sightings.
     """
     _check_p(p_success)
-    tau = _check_tau(tau)
+    tau = _positive_int("tau", tau)
     c = np.asarray(counts)
     if c.size and c.min() < 0:
         raise ValueError("counts must be non-negative")
@@ -158,10 +158,18 @@ def _check_p(p_success: float) -> None:
         raise ValueError(f"p_success must be in (0, 1), got {p_success}")
 
 
-def _check_tau(tau) -> int:
-    if tau is None or int(tau) != tau or tau < 1:
-        raise ValueError(f"tau must be a positive integer, got {tau}")
-    return int(tau)
+def _whole(value) -> bool:
+    """Whether value is a whole number (5 or 5.0; not 5.5, nan, inf or None)."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _positive_int(name: str, value) -> int:
+    if not (_whole(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 # -- planners -----------------------------------------------------------------
@@ -308,7 +316,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     node, where a count array would take n machine words.
     """
     _check_query(env, field, s, g)
-    tau = _check_tau(tau)
+    tau = _positive_int("tau", tau)
     _check_p(p_success)
     params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
@@ -382,7 +390,7 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     """Cost plan_saturation assigns to stepping into dest from a node whose
     accumulated counts are given. Exposed here for transition-level tests;
     it prices the step with the planner's own rule."""
-    tau = _check_tau(tau)
+    tau = _positive_int("tau", tau)
     _check_p(p_success)
     clamped = np.minimum(np.asarray(counts), tau)
     slices = tuple(mask_from_indices(np.flatnonzero(clamped >> k & 1))
@@ -417,8 +425,8 @@ def plan_exact(env, field, s: int, g: int,
     popped at the budget is still found; a frontier that runs out is no_path.
     """
     _check_query(env, field, s, g)
-    if node_budget < 1:
-        raise ValueError(f"node_budget must be positive, got {node_budget}")
+    # an int count of expansions never equals a fractional or infinite budget
+    node_budget = _positive_int("node_budget", node_budget)
     params = {"node_budget": node_budget}
     t0 = time.perf_counter()
 

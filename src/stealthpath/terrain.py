@@ -52,8 +52,76 @@ _OFFSETS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _OFFSETS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-class GridEnvironment:
-    """A heightmap with precomputed representative points and adjacency."""
+class ExplicitGraph:
+    """A planning graph: n regions, their traversable neighbours and
+    optionally a representative point each, the surface every planner reads.
+
+    Built directly, it holds a hand-made scenario: edges are symmetrized,
+    and points only feed the distance heuristics (without them those are 0,
+    which keeps every planner correct, just less guided). A GridEnvironment
+    is an ExplicitGraph built from a heightmap.
+    """
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], points=None):
+        if n <= 0:
+            raise ValueError("need at least one region")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) outside [0, {n})")
+            if a == b:
+                raise ValueError(f"self-edge at region {a}")
+            adj[a].add(b)
+            adj[b].add(a)
+        if points is not None:
+            points = np.asarray(points, dtype=np.float64)
+            if points.shape != (n, 3):
+                raise ValueError(f"points must be ({n}, 3)")
+            if not np.isfinite(points).all():
+                raise ValueError("points must be finite")
+        self._set_graph(tuple(tuple(sorted(s)) for s in adj), points)
+
+    def _set_graph(self, adjacency: tuple[tuple[int, ...], ...], points) -> None:
+        """adjacency[r]: sorted traversable neighbours of region r. Planners
+        read it once per query; neighbors() is the range-checked accessor."""
+        self.n = len(adjacency)
+        self.adjacency = adjacency
+        self.points = points
+        # the heuristics' table, also as python floats for the per-push
+        # heuristic (indexing a numpy array per coordinate costs several times
+        # the arithmetic); without points every region is at the origin
+        self._heuristic_points = np.zeros((self.n, 3)) if points is None else points
+        self._point_list = self._heuristic_points.tolist()
+
+    def _check(self, region: int) -> None:
+        if not (0 <= region < self.n):
+            raise IndexError(f"region {region} outside [0, {self.n})")
+
+    def neighbors(self, region: int) -> tuple[int, ...]:
+        self._check(region)
+        return self.adjacency[region]
+
+    def min_steps(self, a: int, b: int) -> int:
+        """Admissible lower bound on the number of moves between two regions."""
+        return 0
+
+    def manhattan3(self, a: int, b: int) -> float:
+        pa, pb = self._point_list[a], self._point_list[b]
+        return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
+
+    def manhattan3_to(self, b: int) -> np.ndarray:
+        """manhattan3(a, b) of every region a, as a new float array; the
+        float operations are manhattan3's, in order, so each entry equals it."""
+        points = self._heuristic_points
+        dist = np.abs(points[:, 0] - points[b, 0])
+        dist += np.abs(points[:, 1] - points[b, 1])
+        dist += np.abs(points[:, 2] - points[b, 2])
+        return dist
+
+
+class GridEnvironment(ExplicitGraph):
+    """An ExplicitGraph built from a heightmap (see the module docstring) with
+    numpy, not the edge loop; points is read-only, min_steps the grid distance."""
 
     def __init__(self, elevations, cell_size: float = 1.0, d: float = 1.0,
                  max_step: float = math.inf, connectivity: int = 4):
@@ -74,23 +142,19 @@ class GridEnvironment:
         elev.setflags(write=False)
         self.elevations = elev
         self.height, self.width = elev.shape
-        self.n = elev.size
         self.cell_size = float(cell_size)
         self.d = float(d)
         self.max_step = float(max_step)
         self.connectivity = connectivity
 
-        rows, cols = np.divmod(np.arange(self.n), self.width)
+        n = elev.size
+        rows, cols = np.divmod(np.arange(n), self.width)
         flat = elev.ravel()
-        pts = np.empty((self.n, 3))
+        pts = np.empty((n, 3))
         pts[:, 0] = (cols + 0.5) * self.cell_size
         pts[:, 1] = (rows + 0.5) * self.cell_size
         pts[:, 2] = flat + self.d
         pts.setflags(write=False)
-        self.points = pts
-        # python floats: the per-push heuristic reads these, and indexing
-        # a numpy array per coordinate costs several times the arithmetic
-        self._point_list = pts.tolist()
         self._elev_flat = flat
 
         # one column per offset; the offsets are in row-major order, so each
@@ -102,11 +166,7 @@ class GridEnvironment:
         keep = inside & (np.abs(flat[nbr] - flat[:, None]) <= self.max_step)
         found = nbr[keep].tolist()
         ends = np.cumsum(keep.sum(axis=1)).tolist()
-        # adjacency[r]: sorted traversable neighbours of region r. Planners
-        # read it once per query; neighbors() is the range-checked accessor.
-        self.adjacency = tuple(tuple(found[a:b]) for a, b in zip([0] + ends, ends))
-
-    # -- region bookkeeping ------------------------------------------------
+        self._set_graph(tuple(tuple(found[a:b]) for a, b in zip([0] + ends, ends)), pts)
 
     def index(self, row: int, col: int) -> int:
         if not (0 <= row < self.height and 0 <= col < self.width):
@@ -117,93 +177,12 @@ class GridEnvironment:
         self._check(region)
         return divmod(region, self.width)
 
-    def _check(self, region: int) -> None:
-        if not (0 <= region < self.n):
-            raise IndexError(f"region {region} outside [0, {self.n})")
-
-    def neighbors(self, region: int) -> tuple[int, ...]:
-        self._check(region)
-        return self.adjacency[region]
-
-    # -- heuristic support -------------------------------------------------
-
     def min_steps(self, a: int, b: int) -> int:
-        """Admissible lower bound on the number of moves between two regions."""
         ra, ca = divmod(a, self.width)
         rb, cb = divmod(b, self.width)
         if self.connectivity == 4:
             return abs(ra - rb) + abs(ca - cb)
         return max(abs(ra - rb), abs(ca - cb))
-
-    def manhattan3(self, a: int, b: int) -> float:
-        pa = self._point_list[a]
-        pb = self._point_list[b]
-        return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
-
-    def manhattan3_to(self, b: int) -> np.ndarray:
-        """manhattan3(a, b) of every region a, as a new float array."""
-        return _manhattan3_to(self.points, b)
-
-
-def _manhattan3_to(points: np.ndarray, b: int) -> np.ndarray:
-    """manhattan3(a, b) for every row a of points, with manhattan3's float
-    operations in its order, so each entry equals it exactly."""
-    dist = np.abs(points[:, 0] - points[b, 0])
-    dist += np.abs(points[:, 1] - points[b, 1])
-    dist += np.abs(points[:, 2] - points[b, 2])
-    return dist
-
-
-class ExplicitGraph:
-    """Planning environment given directly as an adjacency list.
-
-    Used for hand-built scenarios that bypass terrain geometry. Edges are
-    symmetrized; representative points are optional and only feed the
-    distance heuristics (absent points degrade them to zero, which keeps
-    every planner correct, just less guided).
-    """
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], points=None):
-        if n <= 0:
-            raise ValueError("need at least one region")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) outside [0, {n})")
-            if a == b:
-                raise ValueError(f"self-edge at region {a}")
-            adj[a].add(b)
-            adj[b].add(a)
-        self.n = n
-        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
-        if points is not None:
-            points = np.asarray(points, dtype=np.float64)
-            if points.shape != (n, 3):
-                raise ValueError(f"points must be ({n}, 3)")
-            if not np.isfinite(points).all():
-                raise ValueError("points must be finite")
-        self.points = points
-        self._point_list = None if points is None else points.tolist()
-
-    def neighbors(self, region: int) -> tuple[int, ...]:
-        if not (0 <= region < self.n):
-            raise IndexError(f"region {region} outside [0, {self.n})")
-        return self.adjacency[region]
-
-    def min_steps(self, a: int, b: int) -> int:
-        return 0
-
-    def manhattan3(self, a: int, b: int) -> float:
-        if self._point_list is None:
-            return 0.0
-        pa, pb = self._point_list[a], self._point_list[b]
-        return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
-
-    def manhattan3_to(self, b: int) -> np.ndarray:
-        """manhattan3(a, b) of every region a, as a new float array."""
-        if self.points is None:
-            return np.zeros(self.n)
-        return _manhattan3_to(self.points, b)
 
 
 def build_environment(elevations, cell_size: float = 1.0, d: float = 1.0,

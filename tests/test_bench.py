@@ -411,6 +411,13 @@ class TestConfigParsing:
         ({"cell_size": math.inf}, "'cell_size'"),
         ({"max_step": math.nan}, "'max_step'"),
         ({"d": -2.0}, "'d'"),
+        ({"sizes": (10.5,)}, "'sizes'.*integers"),
+        ({"queries": 2.5}, "'queries'.*integer"),
+        ({"seeds": (1.5,)}, "'seeds'.*integers"),
+        ({"query_seed": 0.5}, "'query_seed'.*integer"),
+        ({"node_budget": 2.5}, "'budget'.*integer"),
+        ({"node_budget": math.inf}, "'budget'.*integer"),
+        ({"workers": 1.5, "timing": False}, "'workers'.*integer"),
     ])
     def test_a_config_built_in_python_is_checked_at_construction(self, kwargs, match):
         # the same checks as a config file gets, before any map is built

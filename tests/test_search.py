@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stealthpath import (ALGORITHMS, BUDGET_EXCEEDED, FOUND, NO_PATH,
+from stealthpath import (ALGORITHMS, BUDGET_EXCEEDED, DEFAULT_CELL_SIZE,
+                         DEFAULT_MAX_STEP, FOUND, NO_PATH,
                          ExplicitGraph, ExposureField, build_environment,
-                         compute_exposure_field, exposed_set, lemma1_fixture,
+                         compute_exposure_field, exposed_set, generate_map,
+                         lemma1_fixture,
                          obj_acc, obj_bin, path_counts, plan, plan_binary,
                          plan_ess, plan_exact, plan_saturation, plan_shortest,
                          result_record, validate_path)
@@ -752,6 +754,27 @@ class TestPlanExact:
         with pytest.raises(ValueError, match="node_budget"):
             plan_exact(env, field, 0, 1, node_budget=0)
 
+    @pytest.fixture(scope="class")
+    def hills20_seed11(self):
+        env = build_environment(generate_map("hills", 11, 20), cell_size=DEFAULT_CELL_SIZE,
+                                max_step=DEFAULT_MAX_STEP)
+        return env, compute_exposure_field(env)
+
+    @pytest.mark.parametrize("budget", [100.5, math.nan, math.inf])
+    def test_a_non_integral_budget_is_rejected(self, hills20_seed11, budget):
+        # an int count of expansions never equals such a budget, so the
+        # search would run on unbounded: this query is found at 407
+        env, field = hills20_seed11
+        with pytest.raises(ValueError, match="node_budget"):
+            plan_exact(env, field, 0, env.n - 1, node_budget=budget)
+
+    def test_an_integral_float_budget_is_the_int_budget(self, hills20_seed11):
+        env, field = hills20_seed11
+        for budget in (100, 100.0):
+            res = plan_exact(env, field, 0, env.n - 1, node_budget=budget)
+            assert (res.status, res.expansions, res.params) == (
+                BUDGET_EXCEEDED, 100, {"node_budget": 100})
+
     def test_no_path(self):
         env = build_environment([[0.0, 9.0, 0.0]], max_step=1.0)
         field = compute_exposure_field(env)
@@ -769,6 +792,46 @@ class TestPlanExact:
                 other = plan(env, field, s, g)
                 if other.status == FOUND:
                     assert obj_bin(field, other.path) >= exact.cost
+
+
+def graph_twin(env):
+    """The grid's adjacency, as edges, and its points in an ExplicitGraph."""
+    edges = [(a, b) for a, nbs in enumerate(env.adjacency) for b in nbs if a < b]
+    return ExplicitGraph(env.n, edges, points=env.points)
+
+
+class TestGridAndGraphTwinPlanAlike:
+    """A grid is an ExplicitGraph built from a heightmap, so a graph given
+    its adjacency and points plans alike. shortest is left out: min_steps
+    is the one member that differs, so its ties may break differently."""
+
+    CALLS = (("ess", {}), ("binary", {}), ("saturation", {"tau": 1}),
+             ("saturation", {"tau": 5}), ("exact", {"node_budget": 300}))
+
+    @pytest.mark.parametrize("kind", ["boxes", "hills"])
+    def test_same_plans(self, kind):
+        env = build_environment(generate_map(kind, 3, 12), cell_size=DEFAULT_CELL_SIZE,
+                                max_step=DEFAULT_MAX_STEP)
+        field = compute_exposure_field(env)
+        twin = graph_twin(env)
+        assert isinstance(env, ExplicitGraph) and type(twin) is ExplicitGraph
+        assert twin.adjacency == env.adjacency
+        found = 0
+        for s, g in random_queries(env, 12, 5):
+            for alg, kwargs in self.CALLS:
+                want = plan(alg, env, field, s, g, **kwargs)
+                got = plan(alg, twin, field, s, g, **kwargs)
+                assert (got.status, got.path, got.cost, got.expansions) == (
+                    want.status, want.path, want.cost, want.expansions), (alg, kwargs, s, g)
+                found += want.status == FOUND
+        assert found >= 20
+
+    def test_neighbors_range_check(self, boxes12):
+        env, _ = boxes12
+        for graph in (env, graph_twin(env)):
+            for region in (-1, graph.n):
+                with pytest.raises(IndexError, match=f"region {region} outside"):
+                    graph.neighbors(region)
 
 
 class TestValidatePath:
