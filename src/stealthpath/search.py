@@ -36,6 +36,17 @@ expanded, by the planner's expand closure, which also pushes neighbours:
 the other four push one whose g beats its region's best, and plan_exact
 each (region, exposed set) key it has not pushed before.
 
+binary and saturation skip a neighbour before pricing it when the step
+cannot beat its region's best g: binary when gg + m >= best_g[nb], and
+saturation when gg >= best_g[nb]. That is exact. A step's price is an int
+>= 0 (times unit > 0 for saturation), and IEEE addition is monotone, so the
+priced ng = gg + delta + m is at least gg + m (ng = gg + delta * unit at
+least gg), and the skipped step would have failed ng < best_g[nb] anyway.
+The pushes, paths, costs and expansions are those of pricing every step.
+
+Every PlanResult carries stats, a SearchStats from _best_first: pushes,
+stale_pops, peak_frontier and closed. result_record leaves them out.
+
 Inner loops read field.rows and env.adjacency once per query, with no
 per-neighbour range check. Set differences use positive ints only:
 x ^ (x & y) for x & ~y, and |x| - |x & y| for its size, the same integers.
@@ -51,7 +62,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,7 +80,18 @@ DEFAULT_NODE_BUDGET = 200_000
 ALGORITHMS = ("shortest", "ess", "binary", "saturation", "exact")
 
 
-@dataclass
+class SearchStats(NamedTuple):
+    """A search's counters, derived by _best_first from its end state."""
+
+    pushes: int  # rows expand pushed; the start's row is not one
+    stale_pops: int  # rows popped and dropped: their region had a lower g
+    peak_frontier: int  # the most rows the heap held at once
+    closed: int  # nodes kept in closed: each expanded node but the goal
+
+
+# slots: callers keep many results (the query-warm benchmark 4000 a round),
+# and a slotted one is about 50 bytes smaller, half of what stats adds
+@dataclass(slots=True)
 class PlanResult:
     algorithm: str
     status: str
@@ -80,6 +102,7 @@ class PlanResult:
     expansions: int
     runtime: float
     params: dict = dataclass_field(default_factory=dict)
+    stats: Optional[SearchStats] = None
 
     @property
     def found(self) -> bool:
@@ -146,11 +169,19 @@ def validate_path(env, path: Sequence[int]) -> None:
 
 # -- parameter checks ---------------------------------------------------------
 
-def _check_query(env, field, s: int, g: int) -> None:
+def _check_query(env, field, s: int, g: int) -> list[int]:
+    """Check a query and return [start, goal] as Python ints; a bool or a
+    float is not a region, and a numpy integer would leak into the path."""
     check_field_matches(env, field)
+    out = []
     for name, r in (("start", s), ("goal", g)):
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+            raise ValueError(f"{name} region must be an integer, got {r!r}")
+        r = int(r)
         if not 0 <= r < env.n:
             raise ValueError(f"{name} region {r} outside [0, {env.n})")
+        out.append(r)
+    return out
 
 
 def _check_p(p_success: float) -> None:
@@ -176,7 +207,7 @@ def _positive_int(name: str, value) -> int:
 
 def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     """Exposure-agnostic A*: fewest moves, admissible grid-distance heuristic."""
-    _check_query(env, field, s, g)
+    s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
     adj, min_steps = env.adjacency, env.min_steps
 
@@ -199,7 +230,7 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     scaled by the map's minimum exposure score, an optimistic per-distance
     exposure rate.
     """
-    _check_query(env, field, s, g)
+    s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
     counts, n = field._counts, field.n
     delta = field.min_score()
@@ -219,19 +250,27 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
 
 def _best_first(n, s, g, h0, state0, expand, budget=-1):
     """The pop loop of every planner; the module docstring gives its heap
-    rows and closed map. Returns (status, path, cost, expansions). closed[-1]
-    holds state0, the state before the start, and a row popped with g above
-    its region's best g is stale.
+    rows and closed map. Returns (status, path, cost, expansions, stats).
+    closed[-1] holds state0, the state before the start, and a row popped
+    with g above its region's best g is stale.
 
     expand(region, seq, g, parent_state, heap, best_g, counter) runs once per
     expanded node but the goal. It builds the node's state from parent_state
     and returns it. It pushes each neighbour nb as (g + h, h, nb,
     next(counter), seq, g) itself, setting best_g[nb] if it keys on regions,
     so no call is made per push. The start is seq 0; counter goes on from 1.
+    binary's and saturation's expand read best_g[nb] first and skip, before
+    pricing, a step that cannot beat it; the module docstring shows that
+    this is exact.
 
     The goal's pop counts as an expansion. Past budget expansions the next
     pop ends the search: found if it is the goal, else budget_exceeded. The
     default -1 sets none, and as an int keeps that test on the fast path.
+
+    stats, a SearchStats of pushes, stale_pops, peak_frontier and closed,
+    comes from what the loop keeps anyway (see _search_stats), plus one
+    len(heap) test per expansion for the peak frontier: nothing is counted
+    per push or per pop.
     """
     heap = [(h0, h0, s, 0, -1, 0.0)]
     best_g = [math.inf] * n
@@ -239,6 +278,7 @@ def _best_first(n, s, g, h0, state0, expand, budget=-1):
     counter = itertools.count(1)
     closed = {-1: (None, None, state0)}
     expansions = 0
+    peak = 1
     while heap:
         _, _, region, seq, parent, gg = heapq.heappop(heap)
         if gg > best_g[region]:
@@ -248,13 +288,28 @@ def _best_first(n, s, g, h0, state0, expand, budget=-1):
             while parent >= 0:
                 region, parent, _ = closed[parent]
                 path.append(region)
-            return FOUND, path[::-1], gg, expansions + 1
+            expansions += 1
+            return (FOUND, path[::-1], gg, expansions,
+                    _search_stats(counter, heap, expansions, 0, closed, peak))
         if expansions == budget:
-            return BUDGET_EXCEEDED, None, None, expansions
+            return (BUDGET_EXCEEDED, None, None, expansions,
+                    _search_stats(counter, heap, expansions, 1, closed, peak))
         expansions += 1
         state = expand(region, seq, gg, closed[parent][2], heap, best_g, counter)
         closed[seq] = (region, parent, state)
-    return NO_PATH, None, None, expansions
+        if len(heap) > peak:
+            peak = len(heap)
+    return (NO_PATH, None, None, expansions,
+            _search_stats(counter, heap, expansions, 0, closed, peak))
+
+
+def _search_stats(counter, heap, expansions, held, closed, peak) -> SearchStats:
+    """The counters from the loop's state when it ends. A stale pop is any
+    row but those still in the heap, the expanded ones (the goal's among
+    them) and held, the one row a budget stop pops."""
+    pushes = next(counter) - 1
+    return SearchStats(pushes, pushes + 1 - len(heap) - expansions - held, peak,
+                       len(closed) - 1)
 
 
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
@@ -266,7 +321,7 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
     (m < 1/n) that no amount of walking outweighs one exposure.
     Heuristic: goal exposures not yet in the accumulator.
     """
-    _check_query(env, field, s, g)
+    s, g = _check_query(env, field, s, g)
     if m is None:
         m = 1.0 / (2 * env.n)
     if not 0.0 < m < 1.0 / env.n:
@@ -282,7 +337,12 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
         # goal regions the accumulator has not exposed yet
         left = goal_set ^ (goal_set & acc)
         nleft = left.bit_count()
+        # every step costs at least m: skip, unpriced, a neighbour whose
+        # best g the step cannot beat (module docstring)
+        floor = gg + m
         for nb in adj[region]:
+            if floor >= best_g[nb]:
+                continue
             ng = gg + _binary_delta(rows, counts, acc, nb) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
@@ -315,7 +375,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     _saturation_advance): tau.bit_length() + 1 ints of n bits per expanded
     node, where a count array would take n machine words.
     """
-    _check_query(env, field, s, g)
+    s, g = _check_query(env, field, s, g)
     tau = _positive_int("tau", tau)
     _check_p(p_success)
     params = {"tau": tau, "p_success": p_success}
@@ -332,6 +392,10 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     def expand(region, seq, gg, state, heap, best_g, counter):
         state = _saturation_advance(rows, state, region, tau)
         for nb in adj[region]:
+            # a step costs at least 0: skip, unpriced, a neighbour whose
+            # best g is already at most gg (module docstring)
+            if gg >= best_g[nb]:
+                continue
             ng = gg + _saturation_delta(rows, counts, state, nb, tau) * unit
             if ng < best_g[nb]:
                 best_g[nb] = ng
@@ -424,7 +488,7 @@ def plan_exact(env, field, s: int, g: int,
     node_budget expansions rather than return a suboptimal path. A goal
     popped at the budget is still found; a frontier that runs out is no_path.
     """
-    _check_query(env, field, s, g)
+    s, g = _check_query(env, field, s, g)
     # an int count of expansions never equals a fractional or infinite budget
     node_budget = _positive_int("node_budget", node_budget)
     params = {"node_budget": node_budget}
@@ -446,20 +510,21 @@ def plan_exact(env, field, s: int, g: int,
         return acc
 
     h0 = (goal_set ^ (goal_set & rows[s])).bit_count()
-    status, walk, cost, n = _best_first(env.n, s, g, h0, 0, expand, node_budget)
+    status, walk, cost, n, stats = _best_first(env.n, s, g, h0, 0, expand, node_budget)
     if walk is None:
-        return _result("exact", params, s, g, t0, status, None, None, n)
+        return _result("exact", params, s, g, t0, status, None, None, n, stats)
     path = []
     for r in walk:  # cut the walk's loops
         if r in path:
             del path[path.index(r):]
         path.append(r)
-    return _result("exact", params, s, g, t0, status, path, cost + base, n)
+    return _result("exact", params, s, g, t0, status, path, cost + base, n, stats)
 
 
-def _result(algorithm, params, s, g, t0, status, path, cost, expansions) -> PlanResult:
+def _result(algorithm, params, s, g, t0, status, path, cost, expansions,
+            stats) -> PlanResult:
     return PlanResult(algorithm, status, s, g, path, None if cost is None else float(cost),
-                      expansions, time.perf_counter() - t0, params)
+                      expansions, time.perf_counter() - t0, params, stats)
 
 
 def plan(algorithm: str, env, field, s: int, g: int, *, tau: Optional[int] = None,

@@ -74,11 +74,14 @@ class ExplicitGraph:
             adj[a].add(b)
             adj[b].add(a)
         if points is not None:
-            points = np.asarray(points, dtype=np.float64)
+            # a read-only copy, as on a grid: a later write to the caller's
+            # array would reach manhattan3_to but not manhattan3's list
+            points = np.array(points, dtype=np.float64)
             if points.shape != (n, 3):
                 raise ValueError(f"points must be ({n}, 3)")
             if not np.isfinite(points).all():
                 raise ValueError("points must be finite")
+            points.setflags(write=False)
         self._set_graph(tuple(tuple(sorted(s)) for s in adj), points)
 
     def _set_graph(self, adjacency: tuple[tuple[int, ...], ...], points) -> None:

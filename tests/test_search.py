@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 import re
 from collections import deque
@@ -15,7 +16,7 @@ from stealthpath import (ALGORITHMS, BUDGET_EXCEEDED, DEFAULT_CELL_SIZE,
                          obj_acc, obj_bin, path_counts, plan, plan_binary,
                          plan_ess, plan_exact, plan_saturation, plan_shortest,
                          result_record, validate_path)
-from stealthpath.search import binary_step_cost, saturation_step_cost
+from stealthpath.search import SearchStats, binary_step_cost, saturation_step_cost
 
 
 def bfs_steps(env, s, g):
@@ -935,3 +936,146 @@ class TestFieldMismatch:
         _, other = random_world(1, shape=shape)
         with pytest.raises(ValueError, match=rf"covers {other.n} regions, environment has {env.n}"):
             plan(env, other, 0, env.n - 1)
+
+
+def heap_trace(monkeypatch, run):
+    """Run run() with heapq spied on. Returns its result, the (f, h, region)
+    of every row it pushed in order, its number of pops and the most rows a
+    heap held."""
+    pushed, pops, peak = [], [0], [1]
+    push, pop = heapq.heappush, heapq.heappop
+
+    def spy_push(heap, row):
+        pushed.append(row[:3])
+        push(heap, row)
+        peak[0] = max(peak[0], len(heap))
+
+    def spy_pop(heap):
+        pops[0] += 1
+        return pop(heap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heapq, "heappush", spy_push)
+        patch.setattr(heapq, "heappop", spy_pop)
+        result = run()
+    return result, pushed, pops[0], peak[0]
+
+
+def graph_past_one_word(seed, with_points, n=90):
+    """A chain plus 40 random chords over n regions, each seeing about a
+    fifth of the others."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(40)]
+    points = rng.uniform(0.0, 3.0, (n, 3)) if with_points else None
+    return ExplicitGraph(n, edges, points=points), random_field(rng, n, 0.2)
+
+
+class TestPushSequenceMatchesOracles:
+    """plan_binary and plan_saturation skip a step before pricing it when it
+    cannot beat its region's best g. The skip changes no heap push: each
+    pushes the frozen oracle's (f, h, region) rows, in the same order."""
+
+    CALLS = [("binary", {}), ("saturation", {"tau": 1}), ("saturation", {"tau": 5})]
+
+    def assert_same_pushes(self, monkeypatch, env, field, queries, alg, kwargs):
+        if alg == "binary":
+            oracle = lambda s, g: reference_plan_binary(env, field, s, g, kwargs.get("m"))
+        else:
+            oracle = lambda s, g: reference_plan_saturation(env, field, s, g, kwargs["tau"])
+        total = 0
+        for s, g in queries:
+            _, got, _, _ = heap_trace(monkeypatch, lambda: plan(alg, env, field, s, g, **kwargs))
+            _, want, _, _ = heap_trace(monkeypatch, lambda: oracle(s, g))
+            assert got == want, (alg, kwargs, s, g)
+            total += len(got)
+        assert total > len(queries)
+
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "sat1", "sat5"])
+    @pytest.mark.parametrize("world, count", [("flat5", 40), ("boxes12", 25), ("hills20", 12)])
+    def test_maps(self, monkeypatch, world, count, alg, kwargs, request):
+        env, field = request.getfixturevalue(world)
+        queries = random_queries(env, count, 9) + [(0, env.n - 1)]
+        self.assert_same_pushes(monkeypatch, env, field, queries, alg, kwargs)
+
+    def test_explicit_movement_cost(self, monkeypatch, boxes12):
+        env, field = boxes12
+        self.assert_same_pushes(monkeypatch, env, field, random_queries(env, 10, 6),
+                                "binary", {"m": 1.0 / (3 * env.n)})
+
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "sat1", "sat5"])
+    @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
+    def test_explicit_graph_past_one_machine_word(self, monkeypatch, with_points, alg, kwargs):
+        graph, field = graph_past_one_word(4, with_points)
+        queries = random_queries(graph, 10, 4) + [(0, graph.n - 1)]
+        self.assert_same_pushes(monkeypatch, graph, field, queries, alg, kwargs)
+
+
+class TestSearchStats:
+    """PlanResult.stats, derived from the pop loop's end state, equals what
+    a spy on heapq counts."""
+
+    CALLS = [("shortest", {}), ("ess", {}), ("binary", {}), ("saturation", {"tau": 5}),
+             ("exact", {"node_budget": 400})]
+
+    def assert_stats(self, monkeypatch, env, field, queries, calls=CALLS):
+        statuses = set()
+        for s, g in queries:
+            for alg, kwargs in calls:
+                res, pushed, pops, peak = heap_trace(
+                    monkeypatch, lambda: plan(alg, env, field, s, g, **kwargs))
+                held = res.status == BUDGET_EXCEEDED
+                assert res.stats == SearchStats(
+                    pushes=len(pushed),
+                    stale_pops=pops - res.expansions - held,
+                    peak_frontier=peak,
+                    closed=res.expansions - (res.status == FOUND),
+                ), (alg, s, g)
+                assert "stats" not in result_record(field, res)
+                statuses.add(res.status)
+        return statuses
+
+    def test_fixture(self, monkeypatch):
+        fx = lemma1_fixture()
+        queries = [(a, b) for a in range(fx.graph.n) for b in range(0, fx.graph.n, 3)]
+        assert FOUND in self.assert_stats(monkeypatch, fx.graph, fx.field, queries)
+
+    def test_map_with_budget_stops_and_unreachable_goals(self, monkeypatch, boxes12):
+        env, field = boxes12
+        statuses = self.assert_stats(monkeypatch, env, field, random_queries(env, 10, 3))
+        assert BUDGET_EXCEEDED in statuses
+        walled = build_environment([[0.0, 9.0, 0.0, 0.0]], max_step=1.0)
+        assert self.assert_stats(monkeypatch, walled, compute_exposure_field(walled),
+                                 [(3, 0), (0, 3)]) == {NO_PATH}
+
+    def test_stale_pops_occur(self, monkeypatch, hills20):
+        # a region pushed again at a lower g leaves its older row to pop stale
+        env, field = hills20
+        queries = random_queries(env, 3, 1)
+        assert self.assert_stats(monkeypatch, env, field, queries, self.CALLS[2:4]) == {FOUND}
+        assert any(plan_binary(env, field, s, g).stats.stale_pops > 0 for s, g in queries)
+
+
+class TestQueryRegionType:
+    """Start and goal must be integers: Python ints or numpy integers, not
+    bool. A numpy integer comes back as a Python int, so records serialize."""
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize("bad", [1.0, True, np.bool_(True), None], ids=repr)
+    @pytest.mark.parametrize("side", ["start", "goal"])
+    def test_non_integer_region_is_rejected(self, flat5, alg, bad, side):
+        env, field = flat5
+        query = (bad, 5) if side == "start" else (1, bad)
+        with pytest.raises(ValueError, match=f"{side} region must be an integer"):
+            plan(alg, env, field, *query, tau=3)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_numpy_integers_plan_as_python_ints(self, flat5, alg):
+        env, field = flat5
+        res = plan(alg, env, field, np.int64(1), np.int32(23), tau=3)
+        want = plan(alg, env, field, 1, 23, tau=3)
+        assert type(res.start) is int and type(res.goal) is int
+        assert all(type(r) is int for r in res.path)
+        assert (res.path, res.cost, res.expansions) == (want.path, want.cost, want.expansions)
+        rec = result_record(field, res)
+        assert json.loads(json.dumps(rec))["path"] == want.path

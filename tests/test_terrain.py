@@ -717,3 +717,15 @@ class TestExplicitGraph:
         assert g.min_steps(0, 1) == 0
         assert g.manhattan3(0, 1) == 0.0
         assert g.manhattan3_to(1).tolist() == [0.0, 0.0]
+
+    def test_points_are_a_read_only_copy(self):
+        # manhattan3 reads a list made at construction, manhattan3_to the
+        # array: a shared caller array would let the two disagree
+        pts = np.zeros((3, 3))
+        g = ExplicitGraph(3, [(0, 1), (1, 2)], points=pts)
+        pts[2] = [5.0, 0.0, 0.0]
+        assert g.manhattan3(0, 2) == 0.0
+        assert g.manhattan3_to(2).tolist() == [0.0, 0.0, 0.0]
+        assert not g.points.flags.writeable
+        with pytest.raises(ValueError):
+            g.points[2, 0] = 5.0
