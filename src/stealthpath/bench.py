@@ -385,13 +385,8 @@ def _query_cells(config: ExperimentConfig) -> list[tuple[str, Optional[int]]]:
             for tau in (map(int, config.taus) if alg == "saturation" else [None])]
 
 
-def _map_records(args: tuple[ExperimentConfig, int]) -> list[dict]:
-    config, map_index = args
-    maps = [(kind, size, seed) for kind in config.kinds
-            for size in config.sizes for seed in config.seeds]
-    kind, size, seed = maps[map_index]
-    map_id = f"{kind}-{size}x{size}-seed{seed}"
-
+def _map_records(args: tuple[ExperimentConfig, int, tuple[str, str, int, int]]) -> list[dict]:
+    config, map_index, (map_id, kind, size, seed) = args
     elev = generate_map(kind, seed, size)
     env = build_environment(elev, cell_size=config.cell_size, d=config.d,
                             max_step=config.max_step)
@@ -469,8 +464,9 @@ def run_experiment(config: ExperimentConfig,
     are not distorted by core contention (the config rejects workers > 1
     with timing on).
     """
-    total = len(config.kinds) * len(config.sizes) * len(config.seeds)
-    jobs = [(config, mi) for mi in range(total)]
+    maps = [(f"{kind}-{size}x{size}-seed{seed}", kind, size, seed)
+            for kind in config.kinds for size in config.sizes for seed in config.seeds]
+    jobs = [(config, mi, m) for mi, m in enumerate(maps)]
     parallel = config.workers > 1
     if parallel:
         # imported here: it adds 10-30 ms to a plain `import stealthpath`
@@ -481,7 +477,7 @@ def run_experiment(config: ExperimentConfig,
                                   else map(_map_records, jobs)):
             records.extend(chunk)
             if progress is not None:
-                progress(chunk[0]["map"] if chunk else f"map {i}", i + 1, total)
+                progress(maps[i][0], i + 1, len(maps))
     return records
 
 

@@ -47,7 +47,8 @@ The pushes, paths, costs and expansions are those of pricing every step.
 Every PlanResult carries stats, a SearchStats from _best_first: pushes,
 stale_pops, peak_frontier and closed. result_record leaves them out.
 
-Inner loops read field.rows and env.adjacency once per query, with no
+Inner loops read field.rows, env.adjacency and, for ess and saturation,
+a heuristic list from env.manhattan3_to(g) once per query, with no
 per-neighbour range check. Set differences use positive ints only:
 x ^ (x & y) for x & ~y, and |x| - |x & y| for its size, the same integers.
 ~y is negative, and x & ~y takes CPython's two's-complement path: about
@@ -123,11 +124,9 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     there, except the occupied region itself which gains tau (occupancy
     saturates it outright).
     """
-    if len(path) == 0:
-        raise ValueError("empty path")
+    idx = np.asarray(_path_ids(path), dtype=np.intp)
     tau = _positive_int("tau", tau)
     n = field.n
-    idx = np.asarray(path, dtype=np.intp)
     if idx.min() < 0 or idx.max() >= n:
         bad = int(idx[(idx < 0) | (idx >= n)][0])
         raise IndexError(f"region {bad} outside [0, {n})")
@@ -156,8 +155,7 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
 
 def validate_path(env, path: Sequence[int]) -> None:
     """Raise ValueError on the first region or transition that is invalid."""
-    if len(path) == 0:
-        raise ValueError("empty path")
+    path = _path_ids(path)
     for k, r in enumerate(path):
         if not 0 <= r < env.n:
             raise ValueError(f"path[{k}] = {r} outside [0, {env.n})")
@@ -169,15 +167,27 @@ def validate_path(env, path: Sequence[int]) -> None:
 
 # -- parameter checks ---------------------------------------------------------
 
+def _region_id(name: str, r) -> int:
+    """r as a Python int, else ValueError naming name: a bool or a float is
+    not a region, and a numpy integer would leak into a path or a record."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {r!r}")
+    return int(r)
+
+
+def _path_ids(path: Sequence[int]) -> list[int]:
+    """A non-empty path's regions as Python ints (see _region_id)."""
+    if len(path) == 0:
+        raise ValueError("empty path")
+    return [_region_id(f"path[{k}]", r) for k, r in enumerate(path)]
+
+
 def _check_query(env, field, s: int, g: int) -> list[int]:
-    """Check a query and return [start, goal] as Python ints; a bool or a
-    float is not a region, and a numpy integer would leak into the path."""
+    """Check a query and return [start, goal] as Python ints."""
     check_field_matches(env, field)
     out = []
     for name, r in (("start", s), ("goal", g)):
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-            raise ValueError(f"{name} region must be an integer, got {r!r}")
-        r = int(r)
+        r = _region_id(f"{name} region", r)
         if not 0 <= r < env.n:
             raise ValueError(f"{name} region {r} outside [0, {env.n})")
         out.append(r)
@@ -228,24 +238,22 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
 
     Heuristic is the 3D Manhattan distance between representative points
     scaled by the map's minimum exposure score, an optimistic per-distance
-    exposure rate.
+    exposure rate, read from one list per query as in plan_saturation.
     """
     s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    counts, n = field._counts, field.n
-    delta = field.min_score()
-    adj, manhattan3 = env.adjacency, env.manhattan3
+    counts, n, adj = field._counts, field.n, env.adjacency
+    hs = (env.manhattan3_to(g) * field.min_score()).tolist()
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         for nb in adj[region]:
             ng = gg + counts[nb] / n
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = manhattan3(nb, g) * delta
+                hn = hs[nb]
                 heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
 
-    return _result("ess", {}, s, g, t0,
-                   *_best_first(env.n, s, g, manhattan3(s, g) * delta, None, expand))
+    return _result("ess", {}, s, g, t0, *_best_first(env.n, s, g, hs[s], None, expand))
 
 
 def _best_first(n, s, g, h0, state0, expand, budget=-1):
@@ -384,10 +392,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     rows, counts, adj = field.rows, field._counts, env.adjacency
     # h of every region, manhattan3(region, g) * tau * unit in that float
     # order, built once per query: a list read costs less than a method call
-    hs = env.manhattan3_to(g)
-    hs *= tau
-    hs *= unit
-    hs = hs.tolist()
+    hs = (env.manhattan3_to(g) * tau * unit).tolist()
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         state = _saturation_advance(rows, state, region, tau)

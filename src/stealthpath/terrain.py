@@ -74,8 +74,8 @@ class ExplicitGraph:
             adj[a].add(b)
             adj[b].add(a)
         if points is not None:
-            # a read-only copy, as on a grid: a later write to the caller's
-            # array would reach manhattan3_to but not manhattan3's list
+            # a read-only copy, as on a grid: the heuristics read it on every
+            # query, so a later write to the caller's array must not reach it
             points = np.array(points, dtype=np.float64)
             if points.shape != (n, 3):
                 raise ValueError(f"points must be ({n}, 3)")
@@ -90,11 +90,9 @@ class ExplicitGraph:
         self.n = len(adjacency)
         self.adjacency = adjacency
         self.points = points
-        # the heuristics' table, also as python floats for the per-push
-        # heuristic (indexing a numpy array per coordinate costs several times
-        # the arithmetic); without points every region is at the origin
+        # both heuristics read this one table, the planners once per query
+        # through manhattan3_to; without points every region is at the origin
         self._heuristic_points = np.zeros((self.n, 3)) if points is None else points
-        self._point_list = self._heuristic_points.tolist()
 
     def _check(self, region: int) -> None:
         if not (0 <= region < self.n):
@@ -109,7 +107,8 @@ class ExplicitGraph:
         return 0
 
     def manhattan3(self, a: int, b: int) -> float:
-        pa, pb = self._point_list[a], self._point_list[b]
+        """3D Manhattan distance between two regions' points."""
+        pa, pb = self._heuristic_points[a].tolist(), self._heuristic_points[b].tolist()
         return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
 
     def manhattan3_to(self, b: int) -> np.ndarray:
@@ -387,7 +386,6 @@ class _GroupPlan(NamedTuple):
     first_col: np.ndarray  # column of the first source, per ray
     shift: np.ndarray  # flat index of the target minus the source, per ray
     corners: np.ndarray  # (4, rays) box-maximum table offsets, see _box_max_table
-    runs: np.ndarray  # kept runs, per ray
     mixed: int
     lows: np.ndarray  # (runs, 2 * rays): first k of each run, then last k
     offset: np.ndarray  # (runs, rays) flat cell offset of each run
@@ -460,7 +458,7 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
         # tables that are only read through gathers are stored compact; the
         # pair numbers take part in arithmetic and stay intp
         tables = dict(row_width=row_width, first_col=np.maximum(-dc, 0),
-                      shift=dr * width + dc, corners=corners, runs=runs,
+                      shift=dr * width + dc, corners=corners,
                       lows=np.concatenate((first, last), axis=1), offset=offset,
                       ambiguous=ambiguous)
         plans.append(_GroupPlan(count, batch, batch * max(1, _CERTIFY_PAIRS // batch),

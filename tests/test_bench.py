@@ -269,6 +269,15 @@ class TestRunExperiment:
         par = run_experiment(ExperimentConfig(**{**base, "workers": 2}))
         assert strip_timing(seq) == strip_timing(par)
 
+    def test_progress_names_every_map_without_queries(self):
+        # with no queries a map yields no record to take its name from
+        cfg = ExperimentConfig(**{**TINY, "sizes": (12, 14), "seeds": (1, 2), "queries": 0,
+                                  "algorithms": ("shortest",), "taus": ()})
+        seen = []
+        assert run_experiment(cfg, progress=lambda *call: seen.append(call)) == []
+        assert seen == [("boxes-12x12-seed1", 1, 4), ("boxes-12x12-seed2", 2, 4),
+                        ("boxes-14x14-seed1", 3, 4), ("boxes-14x14-seed2", 4, 4)]
+
     def test_gap_is_relative_to_exact(self):
         cfg = ExperimentConfig(**{**TINY, "queries": 3})
         records = run_experiment(cfg)

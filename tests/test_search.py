@@ -329,6 +329,17 @@ class TestPathCounts:
         with pytest.raises(IndexError, match=f"region {bad} outside"):
             path_counts(field, [3, bad, 4], tau=2)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.bool_(True), None], ids=repr)
+    def test_non_integer_region_is_rejected(self, flat5, bad):
+        _, field = flat5
+        with pytest.raises(ValueError, match=r"path\[1\] must be an integer"):
+            path_counts(field, [0, bad, 4], tau=2)
+
+    def test_numpy_integers_are_regions(self, flat5):
+        _, field = flat5
+        assert np.array_equal(path_counts(field, [np.int64(3), np.int32(4)], tau=5),
+                              path_counts(field, [3, 4], tau=5))
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 90, 131])
     def test_matches_members_oracle(self, n):
         rng = np.random.default_rng(n)
@@ -853,6 +864,18 @@ class TestValidatePath:
         with pytest.raises(ValueError, match="empty"):
             validate_path(env, [])
 
+    @pytest.mark.parametrize("path, at", [([0, 1.0], 1), ([0, True], 1), ([0.0, 1], 0),
+                                          ([0, np.bool_(True)], 1), ([0, 1, None], 2)],
+                             ids=repr)
+    def test_rejects_non_integer_regions(self, flat5, path, at):
+        env, _ = flat5
+        with pytest.raises(ValueError, match=rf"path\[{at}\] must be an integer"):
+            validate_path(env, path)
+
+    def test_accepts_numpy_integers(self, flat5):
+        env, _ = flat5
+        validate_path(env, [np.int64(0), np.int32(1), np.uint8(6)])
+
 
 class TestResultRecord:
     def test_found_record(self, boxes12):
@@ -973,13 +996,18 @@ def graph_past_one_word(seed, with_points, n=90):
 
 class TestPushSequenceMatchesOracles:
     """plan_binary and plan_saturation skip a step before pricing it when it
-    cannot beat its region's best g. The skip changes no heap push: each
-    pushes the frozen oracle's (f, h, region) rows, in the same order."""
+    cannot beat its region's best g, and plan_ess reads its heuristic from a
+    per-query list. Neither changes a heap push: each planner pushes the
+    frozen oracle's (f, h, region) rows, in the same order."""
 
-    CALLS = [("binary", {}), ("saturation", {"tau": 1}), ("saturation", {"tau": 5})]
+    CALLS = [("binary", {}), ("saturation", {"tau": 1}), ("saturation", {"tau": 5}),
+             ("ess", {})]
+    IDS = ["binary", "sat1", "sat5", "ess"]
 
     def assert_same_pushes(self, monkeypatch, env, field, queries, alg, kwargs):
-        if alg == "binary":
+        if alg == "ess":
+            oracle = lambda s, g: reference_plan_ess(env, field, s, g)
+        elif alg == "binary":
             oracle = lambda s, g: reference_plan_binary(env, field, s, g, kwargs.get("m"))
         else:
             oracle = lambda s, g: reference_plan_saturation(env, field, s, g, kwargs["tau"])
@@ -991,7 +1019,7 @@ class TestPushSequenceMatchesOracles:
             total += len(got)
         assert total > len(queries)
 
-    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "sat1", "sat5"])
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=IDS)
     @pytest.mark.parametrize("world, count", [("flat5", 40), ("boxes12", 25), ("hills20", 12)])
     def test_maps(self, monkeypatch, world, count, alg, kwargs, request):
         env, field = request.getfixturevalue(world)
@@ -1003,7 +1031,7 @@ class TestPushSequenceMatchesOracles:
         self.assert_same_pushes(monkeypatch, env, field, random_queries(env, 10, 6),
                                 "binary", {"m": 1.0 / (3 * env.n)})
 
-    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "sat1", "sat5"])
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=IDS)
     @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
     def test_explicit_graph_past_one_machine_word(self, monkeypatch, with_points, alg, kwargs):
         graph, field = graph_past_one_word(4, with_points)

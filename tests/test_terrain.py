@@ -719,8 +719,7 @@ class TestExplicitGraph:
         assert g.manhattan3_to(1).tolist() == [0.0, 0.0]
 
     def test_points_are_a_read_only_copy(self):
-        # manhattan3 reads a list made at construction, manhattan3_to the
-        # array: a shared caller array would let the two disagree
+        # a shared caller array would let a later write reach the heuristics
         pts = np.zeros((3, 3))
         g = ExplicitGraph(3, [(0, 1), (1, 2)], points=pts)
         pts[2] = [5.0, 0.0, 0.0]
