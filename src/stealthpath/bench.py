@@ -43,7 +43,7 @@ from .search import (ALGORITHMS, DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND,
 from .search import (obj_acc, path_counts, plan_binary, plan_ess,  # noqa: F401
                      plan_exact, plan_saturation)
 from .terrain import (ExplicitGraph, ExposureField, build_environment,
-                      compute_exposure_field)
+                      compute_exposure_field, region_id)
 
 DEFAULT_CELL_SIZE = 10.0
 DEFAULT_MAX_STEP = 1.0
@@ -189,8 +189,7 @@ def brute_force_min_exposure(env, field, s: int, g: int,
     meant for cross-checking plan_exact on instances of toy size. Returns
     None when no path exists.
     """
-    if not (0 <= s < env.n and 0 <= g < env.n):
-        raise ValueError(f"query ({s}, {g}) outside [0, {env.n})")
+    s, g = region_id(env.n, s, "start region"), region_id(env.n, g, "goal region")
     best: Optional[int] = None
     steps = 0
 
@@ -206,13 +205,13 @@ def brute_force_min_exposure(env, field, s: int, g: int,
         if region == g:
             best = exposed
             return
-        for nb in env.neighbors(region):
+        for nb in env.adjacency[region]:
             bit = 1 << nb
             if visited & bit:
                 continue
-            dfs(nb, visited | bit, union | field.exposure_set(nb))
+            dfs(nb, visited | bit, union | field.rows[nb])
 
-    dfs(s, 1 << s, field.exposure_set(s))
+    dfs(s, 1 << s, field.rows[s])
     return best
 
 
@@ -236,7 +235,7 @@ def component_labels(env) -> np.ndarray:
         stack = [i]
         while stack:
             u = stack.pop()
-            for v in env.neighbors(u):
+            for v in env.adjacency[u]:
                 if labels[v] < 0:
                     labels[v] = nxt
                     stack.append(v)
@@ -251,14 +250,14 @@ def sample_query(env, rng: np.random.Generator,
     Raises ValueError when there is no such pair, i.e. when no region has a
     traversable neighbour.
     """
-    if not any(env.neighbors(r) for r in range(env.n)):
+    if not any(env.adjacency):
         raise ValueError("no region has a traversable neighbour, so no "
                          "start/goal pair is reachable")
     if labels is None:
         labels = component_labels(env)
     while True:
         s, g = (int(v) for v in rng.integers(0, env.n, 2))
-        if s != g and env.neighbors(s) and labels[s] == labels[g]:
+        if s != g and env.adjacency[s] and labels[s] == labels[g]:
             return s, g
 
 

@@ -10,6 +10,9 @@ C is a pure visibility construct: by default it is not filtered down to the
 regions actually reachable from the seed path, since unreachable-but-silent
 regions are still silent. build_corridor(connected_only=True) applies the
 reachability filter for consumers that need to move through the corridor.
+
+exposed_set checks the seed path once, by terrain's one region rule
+(path_ids); everything after it reads the raw tables.
 """
 
 from __future__ import annotations
@@ -21,16 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from .bitset import bit_indices, mask_from_indices
-from .terrain import check_field_matches
+from .terrain import check_field_matches, path_ids
 
 
 def exposed_set(field, path: Sequence[int]) -> int:
     """Bitset of every region the path is visible from (the set K)."""
-    if len(path) == 0:
-        raise ValueError("empty path")
+    rows = field.rows
     acc = 0
-    for r in path:
-        acc |= field.exposure_set(r)
+    for r in path_ids(field.n, path):
+        acc |= rows[r]
     return acc
 
 
@@ -86,7 +88,7 @@ def _reachable_within(env, mask: int, seeds: Sequence[int]) -> int:
     reached = mask_from_indices(seeds)
     while queue:
         r = queue.popleft()
-        for nb in env.neighbors(r):
+        for nb in env.adjacency[r]:
             bit = 1 << nb
             if mask & bit and not reached & bit:
                 reached |= bit

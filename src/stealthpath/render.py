@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bitset import bit_indices
-from .terrain import check_field_matches
+from .terrain import check_field_matches, path_ids, region_id
 
 PATH_PIXEL = 0
 CORRIDOR_PIXEL = 255
@@ -31,17 +31,13 @@ def exposure_image(env, field) -> np.ndarray:
 def overlay_corridor(image: np.ndarray, env, corridor_mask: int) -> np.ndarray:
     out = image.copy()
     for r in bit_indices(corridor_mask):
-        if r >= env.n:
-            raise ValueError(f"corridor region {r} outside [0, {env.n})")
-        out[divmod(r, env.width)] = CORRIDOR_PIXEL
+        out[divmod(region_id(env.n, r, "corridor region"), env.width)] = CORRIDOR_PIXEL
     return out
 
 
 def overlay_path(image: np.ndarray, env, path: Sequence[int]) -> np.ndarray:
     out = image.copy()
-    for r in path:
-        if not 0 <= r < env.n:
-            raise ValueError(f"path region {r} outside [0, {env.n})")
+    for r in path_ids(env.n, path):
         out[divmod(r, env.width)] = PATH_PIXEL
     return out
 

@@ -47,9 +47,10 @@ The pushes, paths, costs and expansions are those of pricing every step.
 Every PlanResult carries stats, a SearchStats from _best_first: pushes,
 stale_pops, peak_frontier and closed. result_record leaves them out.
 
-Inner loops read field.rows, env.adjacency and, for ess and saturation,
-a heuristic list from env.manhattan3_to(g) once per query, with no
-per-neighbour range check. Set differences use positive ints only:
+A caller's start, goal and path pass terrain's one region rule (region_id,
+path_ids) on the way in. Inner loops then read field.rows, env.adjacency
+and, for ess and saturation, a heuristic list from env.manhattan3_to(g)
+once per query, with no per-neighbour range check. Set differences use positive ints only:
 x ^ (x & y) for x & ~y, and |x| - |x & y| for its size, the same integers.
 ~y is negative, and x & ~y takes CPython's two's-complement path: about
 290 ns against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon,
@@ -69,7 +70,7 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import exposed_set
-from .terrain import check_field_matches, traversable
+from .terrain import check_field_matches, path_ids, region_id
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -124,12 +125,9 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     there, except the occupied region itself which gains tau (occupancy
     saturates it outright).
     """
-    idx = np.asarray(_path_ids(path), dtype=np.intp)
-    tau = _positive_int("tau", tau)
     n = field.n
-    if idx.min() < 0 or idx.max() >= n:
-        bad = int(idx[(idx < 0) | (idx >= n)][0])
-        raise IndexError(f"region {bad} outside [0, {n})")
+    idx = np.asarray(path_ids(n, path), dtype=np.intp)
+    tau = _positive_int("tau", tau)
     bits = np.unpackbits(field.to_packed()[idx], axis=1, count=n, bitorder="little")
     counts = bits.sum(axis=0, dtype=np.int64)
     # add.at, not +=: a region the path occupies twice gains tau - 1 twice
@@ -154,44 +152,19 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
 
 
 def validate_path(env, path: Sequence[int]) -> None:
-    """Raise ValueError on the first region or transition that is invalid."""
-    path = _path_ids(path)
-    for k, r in enumerate(path):
-        if not 0 <= r < env.n:
-            raise ValueError(f"path[{k}] = {r} outside [0, {env.n})")
-    for k in range(len(path) - 1):
-        a, b = path[k], path[k + 1]
-        if not traversable(env, a, b):
+    """Raise ValueError on the first invalid region (path_ids) or step."""
+    path = path_ids(env.n, path)
+    for k, (a, b) in enumerate(zip(path, path[1:])):
+        if b not in env.adjacency[a]:
             raise ValueError(f"step {k}: {a} -> {b} is not traversable")
 
 
 # -- parameter checks ---------------------------------------------------------
 
-def _region_id(name: str, r) -> int:
-    """r as a Python int, else ValueError naming name: a bool or a float is
-    not a region, and a numpy integer would leak into a path or a record."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {r!r}")
-    return int(r)
-
-
-def _path_ids(path: Sequence[int]) -> list[int]:
-    """A non-empty path's regions as Python ints (see _region_id)."""
-    if len(path) == 0:
-        raise ValueError("empty path")
-    return [_region_id(f"path[{k}]", r) for k, r in enumerate(path)]
-
-
-def _check_query(env, field, s: int, g: int) -> list[int]:
-    """Check a query and return [start, goal] as Python ints."""
+def _check_query(env, field, s: int, g: int) -> tuple[int, int]:
+    """Check a query and return (start, goal) as Python ints."""
     check_field_matches(env, field)
-    out = []
-    for name, r in (("start", s), ("goal", g)):
-        r = _region_id(f"{name} region", r)
-        if not 0 <= r < env.n:
-            raise ValueError(f"{name} region {r} outside [0, {env.n})")
-        out.append(r)
-    return out
+    return region_id(env.n, s, "start region"), region_id(env.n, g, "goal region")
 
 
 def _check_p(p_success: float) -> None:

@@ -20,6 +20,9 @@ is immutable once built and safe to share across concurrent planner runs.
 Movement is separate from sight: regions are traversable neighbours when
 they are grid-adjacent (4- or 8-connectivity) and their elevation difference
 is within ``max_step``. A region is never traversable to itself.
+
+Every region a caller hands in, here or to any other module, is checked by
+one rule, region_id (path_ids for a path).
 """
 
 from __future__ import annotations
@@ -52,6 +55,36 @@ _OFFSETS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _OFFSETS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
+def region_id(n: int, r, name: str, out_of_range: type = ValueError) -> int:
+    """r as a Python int if it is a region: an int or numpy integer, never a
+    bool or a float, in [0, n). Else a ValueError naming `name` ("path[1]",
+    "start region"), or out_of_range, which the accessors set to IndexError."""
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {r!r}")
+    if not 0 <= r < n:
+        raise out_of_range(f"{name} out of range: region {r} outside [0, {n})")
+    return int(r)
+
+
+def path_ids(n: int, path: Sequence[int]) -> list[int]:
+    """A non-empty path's regions as Python ints (region_id). The name path[k]
+    is built only for the first bad region: one per region slows every call."""
+    if len(path) == 0:
+        raise ValueError("empty path")
+    try:
+        return [region_id(n, r, "path") for r in path]
+    except ValueError as exc:
+        error = exc
+    for k, r in enumerate(path):
+        region_id(n, r, f"path[{k}]")
+    raise error
+
+
+def _checked(n: int, region) -> int:
+    """region_id for the accessors of ExplicitGraph and ExposureField."""
+    return region_id(n, region, "region", IndexError)
+
+
 class ExplicitGraph:
     """A planning graph: n regions, their traversable neighbours and
     optionally a representative point each, the surface every planner reads.
@@ -66,9 +99,8 @@ class ExplicitGraph:
         if n <= 0:
             raise ValueError("need at least one region")
         adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) outside [0, {n})")
+        for k, (a, b) in enumerate(edges):
+            a, b = region_id(n, a, f"edges[{k}][0]"), region_id(n, b, f"edges[{k}][1]")
             if a == b:
                 raise ValueError(f"self-edge at region {a}")
             adj[a].add(b)
@@ -94,13 +126,8 @@ class ExplicitGraph:
         # through manhattan3_to; without points every region is at the origin
         self._heuristic_points = np.zeros((self.n, 3)) if points is None else points
 
-    def _check(self, region: int) -> None:
-        if not (0 <= region < self.n):
-            raise IndexError(f"region {region} outside [0, {self.n})")
-
     def neighbors(self, region: int) -> tuple[int, ...]:
-        self._check(region)
-        return self.adjacency[region]
+        return self.adjacency[_checked(self.n, region)]
 
     def min_steps(self, a: int, b: int) -> int:
         """Admissible lower bound on the number of moves between two regions."""
@@ -176,8 +203,7 @@ class GridEnvironment(ExplicitGraph):
         return row * self.width + col
 
     def rowcol(self, region: int) -> tuple[int, int]:
-        self._check(region)
-        return divmod(region, self.width)
+        return divmod(_checked(self.n, region), self.width)
 
     def min_steps(self, a: int, b: int) -> int:
         ra, ca = divmod(a, self.width)
@@ -203,9 +229,8 @@ def check_field_matches(env, field) -> None:
 
 def traversable(env, a: int, b: int) -> bool:
     """True when a robot may move directly from region a to region b."""
-    if a == b:
-        return False
-    return b in env.neighbors(a)
+    a = region_id(env.n, a, "from region")
+    return region_id(env.n, b, "to region") in env.adjacency[a]
 
 
 # -- line of sight ----------------------------------------------------------
@@ -314,8 +339,7 @@ def line_of_sight(env: GridEnvironment, a: int, b: int) -> bool:
     The sampled rule is not symmetric in floating point, so the pair is
     evaluated from its lower-indexed region, as compute_exposure_field does.
     """
-    env._check(a)
-    env._check(b)
+    a, b = _checked(env.n, a), _checked(env.n, b)
     if a == b:
         return True
     lo, hi = min(a, b), max(a, b)
@@ -781,23 +805,16 @@ class ExposureField:
         if validate:
             self.validate()
 
-    def _check(self, region: int) -> None:
-        if not (0 <= region < self.n):
-            raise IndexError(f"region {region} outside [0, {self.n})")
-
     def exposure_set(self, region: int) -> int:
         """Bitset of regions visible from `region` (reflexive)."""
-        self._check(region)
-        return self.rows[region]
+        return self.rows[_checked(self.n, region)]
 
     def exposure_count(self, region: int) -> int:
-        self._check(region)
-        return self._counts[region]
+        return self._counts[_checked(self.n, region)]
 
     def exposure_score(self, region: int) -> float:
         """Fraction of the map visible from a region, in [1/n, 1]."""
-        self._check(region)
-        return self._counts[region] / self.n
+        return self._counts[_checked(self.n, region)] / self.n
 
     def scores(self) -> np.ndarray:
         if self._scores is None:
@@ -811,7 +828,7 @@ class ExposureField:
 
     def members(self, region: int) -> np.ndarray:
         """Visible regions as a sorted index array."""
-        self._check(region)
+        region = _checked(self.n, region)
         bits = np.unpackbits(self.to_packed()[region], count=self.n, bitorder="little")
         return np.flatnonzero(bits)
 
@@ -827,8 +844,12 @@ class ExposureField:
     @classmethod
     def from_packed(cls, packed: np.ndarray, n: int, validate: bool = True) -> "ExposureField":
         """Field from a to_packed() matrix, checked as packed when `validate`.
-        The matrix becomes the field's packed view; a writable one is copied
+        Its shape must be (n, ceil(n/8)) and its dtype uint8 either way. The
+        matrix becomes the field's packed view; a writable one is copied
         first, so later writes by the caller cannot reach the field."""
+        if packed.shape != (n, (n + 7) // 8) or packed.dtype != np.uint8:
+            raise ValueError(f"packed matrix is {packed.dtype} {packed.shape}, "
+                             f"expected uint8 ({n}, {(n + 7) // 8})")
         if validate:
             _check_packed(packed, n)
         raw, width = packed.tobytes(), packed.shape[1]

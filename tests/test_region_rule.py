@@ -1,0 +1,124 @@
+"""The one rule for a region a caller hands in (terrain.region_id, and
+terrain.path_ids for a path), applied at every entry point that takes one.
+
+A region is an int or a numpy integer, never a bool or a float, in [0, n).
+Callers' entry points raise ValueError naming the position they reject; the
+accessors raise IndexError out of range, as a sequence does."""
+
+import re
+
+import numpy as np
+import pytest
+
+from stealthpath import (ALGORITHMS, ExplicitGraph, brute_force_min_exposure,
+                         build_corridor, line_of_sight, obj_bin, path_counts, plan,
+                         traversable, validate_path)
+from stealthpath.corridor import exposed_set
+from stealthpath.render import compose, exposure_image, overlay_path
+from stealthpath.search import score_path
+
+BAD = [True, np.bool_(True), 1.0, 1.5, None, -1, "n"]  # "n": the region count
+
+
+def _plan(alg, env, field, s, g):
+    res = plan(alg, env, field, s, g, tau=2)
+    return res.start, res.goal, res.status, res.path, res.cost
+
+
+def caller_entries(env, field):
+    """name -> (call with region r at the tested position, that position).
+    Building the table calls nothing, so its names can parametrize tests."""
+    entries = {}
+    for a in ALGORITHMS:
+        entries[f"plan-{a}-start"] = (lambda r, a=a: _plan(a, env, field, r, 6), "start region")
+        entries[f"plan-{a}-goal"] = (lambda r, a=a: _plan(a, env, field, 0, r), "goal region")
+    entries.update({
+        "validate_path": (lambda r: validate_path(env, [0, r]), "path[1]"),
+        "path_counts": (lambda r: path_counts(field, [0, r], 2).tolist(), "path[1]"),
+        "obj_bin": (lambda r: obj_bin(field, [0, r]), "path[1]"),
+        "score_path": (lambda r: score_path(field, [0, r], 2), "path[1]"),
+        "exposed_set": (lambda r: exposed_set(field, [0, r]), "path[1]"),
+        "build_corridor": (lambda r: build_corridor(env, field, [0, r]).corridor, "path[1]"),
+        "build_corridor-connected": (
+            lambda r: build_corridor(env, field, [0, r], connected_only=True).corridor,
+            "path[1]"),
+        "overlay_path": (lambda r: overlay_path(exposure_image(env, field), env,
+                                                [0, r]).tolist(), "path[1]"),
+        "compose": (lambda r: compose(env, field, path=[0, r]).tolist(), "path[1]"),
+        "brute_force-start": (lambda r: brute_force_min_exposure(env, field, r, 6),
+                              "start region"),
+        "brute_force-goal": (lambda r: brute_force_min_exposure(env, field, 0, r),
+                             "goal region"),
+        "traversable-from": (lambda r: traversable(env, r, 0), "from region"),
+        "traversable-to": (lambda r: traversable(env, 0, r), "to region"),
+        "ExplicitGraph-edge": (lambda r: ExplicitGraph(env.n, [(0, 5), (0, r)]).adjacency,
+                               "edges[1][1]"),
+    })
+    return entries
+
+
+def accessors(env, field):
+    """name -> call with region r; the accessors' position is "region"."""
+    return {
+        "grid.neighbors": lambda r: env.neighbors(r),
+        "graph.neighbors": lambda r: ExplicitGraph(env.n, [(0, 1)]).neighbors(r),
+        "rowcol": lambda r: env.rowcol(r),
+        "line_of_sight-a": lambda r: line_of_sight(env, r, 0),
+        "line_of_sight-b": lambda r: line_of_sight(env, 0, r),
+        "exposure_set": lambda r: field.exposure_set(r),
+        "exposure_count": lambda r: field.exposure_count(r),
+        "exposure_score": lambda r: field.exposure_score(r),
+        "members": lambda r: field.members(r).tolist(),
+    }
+
+
+CALLERS = sorted(caller_entries(None, None))
+ACCESSORS = sorted(accessors(None, None))
+
+
+def _raises(position, bad, n, out_of_range=ValueError):
+    """pytest.raises for what the rule gives bad at position."""
+    if isinstance(bad, bool) or not isinstance(bad, int):
+        return pytest.raises(ValueError,
+                             match=re.escape(f"{position} must be an integer, got {bad!r}"))
+    return pytest.raises(out_of_range, match=re.escape(
+        f"{position} out of range: region {bad} outside [0, {n})"))
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("entry", CALLERS)
+def test_caller_entry_points_name_the_position(flat5, entry, bad):
+    env, field = flat5
+    call, position = caller_entries(env, field)[entry]
+    bad = env.n if isinstance(bad, str) else bad
+    with _raises(position, bad, env.n):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("entry", ACCESSORS)
+def test_accessors_keep_index_error_out_of_range(flat5, entry, bad):
+    env, field = flat5
+    bad = env.n if isinstance(bad, str) else bad
+    with _raises("region", bad, env.n, IndexError):
+        accessors(env, field)[entry](bad)
+
+
+@pytest.mark.parametrize("entry", CALLERS + ACCESSORS)
+def test_numpy_integers_are_regions(flat5, entry):
+    env, field = flat5
+    table = {name: call for name, (call, _) in caller_entries(env, field).items()}
+    call = {**table, **accessors(env, field)}[entry]
+    want = call(1)
+    for kind in (np.int64, np.int32, np.uint8):
+        assert call(kind(1)) == want
+
+
+def test_an_empty_path_is_rejected(flat5):
+    env, field = flat5
+    image = exposure_image(env, field)
+    for call in (lambda: validate_path(env, []), lambda: obj_bin(field, []),
+                 lambda: path_counts(field, [], 2), lambda: build_corridor(env, field, []),
+                 lambda: overlay_path(image, env, [])):
+        with pytest.raises(ValueError, match="empty path"):
+            call()

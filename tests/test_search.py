@@ -326,7 +326,7 @@ class TestPathCounts:
     @pytest.mark.parametrize("bad", [-1, 25])
     def test_region_out_of_range(self, flat5, bad):
         _, field = flat5
-        with pytest.raises(IndexError, match=f"region {bad} outside"):
+        with pytest.raises(ValueError, match=f"region {bad} outside"):
             path_counts(field, [3, bad, 4], tau=2)
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, np.bool_(True), None], ids=repr)

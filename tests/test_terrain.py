@@ -531,6 +531,15 @@ class TestExposureField:
             ExposureField.from_packed(packed, len(rows))
         ExposureField.from_packed(packed, len(rows), validate=False)
 
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_from_packed_checks_the_matrix_shape(self, boxes12, validate):
+        packed = boxes12[1].to_packed()
+        n = len(packed)
+        for matrix, count in ((packed, 5), (packed[:5], n), (packed[:, :-1], n),
+                              (packed[0], n), (packed.astype(np.int64), n)):
+            with pytest.raises(ValueError, match=rf"expected uint8 \({count}, {(count + 7) // 8}\)"):
+                ExposureField.from_packed(matrix, count, validate=validate)
+
     def test_members_and_scores(self):
         field = ExposureField([0b011, 0b111, 0b110])
         assert list(field.members(0)) == [0, 1]
