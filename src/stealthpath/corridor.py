@@ -11,8 +11,9 @@ regions actually reachable from the seed path, since unreachable-but-silent
 regions are still silent. build_corridor(connected_only=True) applies the
 reachability filter for consumers that need to move through the corridor.
 
-exposed_set checks the seed path once, by terrain's one region rule
-(path_ids); everything after it reads the raw tables.
+exposed_set and build_corridor check the seed path once, by terrain's one
+region rule (path_ids); everything after it reads the raw tables and the
+checked Python ints.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from .terrain import check_field_matches, path_ids
 
 def exposed_set(field, path: Sequence[int]) -> int:
     """Bitset of every region the path is visible from (the set K)."""
-    rows = field.rows
+    return _union(field.rows, path_ids(field.n, path))
+
+
+def _union(rows, ids: Sequence[int]) -> int:
     acc = 0
-    for r in path_ids(field.n, path):
+    for r in ids:
         acc |= rows[r]
     return acc
 
@@ -76,7 +80,8 @@ def build_corridor(env, field, path: Sequence[int],
     moves that stay inside the corridor.
     """
     check_field_matches(env, field)
-    k_mask = exposed_set(field, path)
+    path = path_ids(field.n, path)
+    k_mask = _union(field.rows, path)
     c_mask = corridor(field, k_mask)
     if connected_only:
         c_mask = _reachable_within(env, c_mask, path)

@@ -21,13 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .terrain import (ExposureField, GridEnvironment, check_field_matches,
-                      compute_exposure_field)
+from .terrain import (ExposureField, GridEnvironment, _check_cell_size,
+                      check_field_matches, compute_exposure_field)
 
 EXPF_MAGIC = b"EXPF"
 
 
 def format_heightmap(elevations, cell_size: float) -> str:
+    _check_cell_size(cell_size)
     elev = np.asarray(elevations, dtype=np.float64)
     height, width = elev.shape
     lines = [f"{width} {height} {float(cell_size)!r}"]
@@ -55,8 +56,7 @@ def parse_heightmap(text: str) -> tuple[np.ndarray, float]:
         raise ValueError(f"bad heightmap header {lines[0]!r}: {exc}") from None
     if width <= 0 or height <= 0:
         raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
-    if not cell_size > 0:
-        raise ValueError(f"cell_size must be positive, got {cell_size}")
+    _check_cell_size(cell_size)
     if len(lines) - 1 != height:
         raise ValueError(f"expected {height} elevation rows, found {len(lines) - 1}")
     elev = np.empty((height, width))

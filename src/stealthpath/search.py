@@ -49,12 +49,13 @@ stale_pops, peak_frontier and closed. result_record leaves them out.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
 path_ids) on the way in. Inner loops then read field.rows, env.adjacency
-and, for ess and saturation, a heuristic list from env.manhattan3_to(g)
-once per query, with no per-neighbour range check. Set differences use positive ints only:
-x ^ (x & y) for x & ~y, and |x| - |x & y| for its size, the same integers.
-~y is negative, and x & ~y takes CPython's two's-complement path: about
-290 ns against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon,
-Python 3.11).
+and heuristic lists built once per query (env.min_steps_to for shortest,
+env.manhattan3_to for ess and saturation), with no per-neighbour range check;
+shortest and ess share one A*, _fixed_cost_astar. Set differences use
+positive ints only: x ^ (x & y) for x & ~y, and |x| - |x & y| for its size,
+the same integers. ~y is negative, and x & ~y takes CPython's
+two's-complement path: about 290 ns against 130 ns for x ^ (x & y) on
+1600-bit rows (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ def _check_p(p_success: float) -> None:
 
 
 def _whole(value) -> bool:
-    """Whether value is a whole number (5 or 5.0; not 5.5, nan, inf or None)."""
+    """Whether value is a whole number (5 or 5.0; not True, 5.5, nan, inf or
+    None): a bool is rejected, as a region is."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return int(value) == value
     except (TypeError, ValueError, OverflowError):
@@ -192,18 +196,8 @@ def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     """Exposure-agnostic A*: fewest moves, admissible grid-distance heuristic."""
     s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    adj, min_steps = env.adjacency, env.min_steps
-
-    def expand(region, seq, gg, state, heap, best_g, counter):
-        ng = gg + 1.0
-        for nb in adj[region]:
-            if ng < best_g[nb]:
-                best_g[nb] = ng
-                hn = float(min_steps(nb, g))
-                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
-
-    return _result("shortest", {}, s, g, t0,
-                   *_best_first(env.n, s, g, float(min_steps(s, g)), None, expand))
+    return _result("shortest", {}, s, g, t0, *_fixed_cost_astar(
+        env, s, g, [1.0] * env.n, env.min_steps_to(g).tolist()))
 
 
 def plan_ess(env, field, s: int, g: int) -> PlanResult:
@@ -211,22 +205,27 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
 
     Heuristic is the 3D Manhattan distance between representative points
     scaled by the map's minimum exposure score, an optimistic per-distance
-    exposure rate, read from one list per query as in plan_saturation.
+    exposure rate.
     """
     s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    counts, n, adj = field._counts, field.n, env.adjacency
-    hs = (env.manhattan3_to(g) * field.min_score()).tolist()
+    return _result("ess", {}, s, g, t0, *_fixed_cost_astar(
+        env, s, g, field.scores().tolist(), (env.manhattan3_to(g) * field.min_score()).tolist()))
+
+
+def _fixed_cost_astar(env, s, g, costs, hs):
+    """_best_first where entering nb costs costs[nb] and hs[nb] is its h."""
+    adj = env.adjacency
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         for nb in adj[region]:
-            ng = gg + counts[nb] / n
+            ng = gg + costs[nb]
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]
                 heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
 
-    return _result("ess", {}, s, g, t0, *_best_first(env.n, s, g, hs[s], None, expand))
+    return _best_first(env.n, s, g, hs[s], None, expand)
 
 
 def _best_first(n, s, g, h0, state0, expand, budget=-1):

@@ -80,6 +80,13 @@ def path_ids(n: int, path: Sequence[int]) -> list[int]:
     raise error
 
 
+def _check_cell_size(cell_size: float) -> None:
+    """The cell-size rule, for a GridEnvironment and every heightmap file
+    read or written, so no command writes a map that the others reject."""
+    if not (cell_size > 0 and math.isfinite(cell_size)):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+
+
 def _checked(n: int, region) -> int:
     """region_id for the accessors of ExplicitGraph and ExposureField."""
     return region_id(n, region, "region", IndexError)
@@ -92,7 +99,8 @@ class ExplicitGraph:
     Built directly, it holds a hand-made scenario: edges are symmetrized,
     and points only feed the distance heuristics (without them those are 0,
     which keeps every planner correct, just less guided). A GridEnvironment
-    is an ExplicitGraph built from a heightmap.
+    is an ExplicitGraph built from a heightmap. Planners read min_steps_to
+    and manhattan3_to once per query; min_steps and manhattan3 read one entry.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], points=None):
@@ -122,8 +130,7 @@ class ExplicitGraph:
         self.n = len(adjacency)
         self.adjacency = adjacency
         self.points = points
-        # both heuristics read this one table, the planners once per query
-        # through manhattan3_to; without points every region is at the origin
+        # manhattan3_to's one table; without points every region is at the origin
         self._heuristic_points = np.zeros((self.n, 3)) if points is None else points
 
     def neighbors(self, region: int) -> tuple[int, ...]:
@@ -131,17 +138,20 @@ class ExplicitGraph:
 
     def min_steps(self, a: int, b: int) -> int:
         """Admissible lower bound on the number of moves between two regions."""
-        return 0
+        return int(self.min_steps_to(b)[_checked(self.n, a)])
+
+    def min_steps_to(self, b: int) -> np.ndarray:
+        """min_steps(a, b) of every region a, as a new float array: zeros here."""
+        _checked(self.n, b)
+        return np.zeros(self.n)
 
     def manhattan3(self, a: int, b: int) -> float:
         """3D Manhattan distance between two regions' points."""
-        pa, pb = self._heuristic_points[a].tolist(), self._heuristic_points[b].tolist()
-        return abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) + abs(pa[2] - pb[2])
+        return float(self.manhattan3_to(b)[_checked(self.n, a)])
 
     def manhattan3_to(self, b: int) -> np.ndarray:
-        """manhattan3(a, b) of every region a, as a new float array; the
-        float operations are manhattan3's, in order, so each entry equals it."""
-        points = self._heuristic_points
+        """manhattan3(a, b) of every region a, as a new float array."""
+        points, b = self._heuristic_points, _checked(self.n, b)
         dist = np.abs(points[:, 0] - points[b, 0])
         dist += np.abs(points[:, 1] - points[b, 1])
         dist += np.abs(points[:, 2] - points[b, 2])
@@ -150,7 +160,7 @@ class ExplicitGraph:
 
 class GridEnvironment(ExplicitGraph):
     """An ExplicitGraph built from a heightmap (see the module docstring) with
-    numpy, not the edge loop; points is read-only, min_steps the grid distance."""
+    numpy, not the edge loop; points is read-only, min_steps_to the grid distance."""
 
     def __init__(self, elevations, cell_size: float = 1.0, d: float = 1.0,
                  max_step: float = math.inf, connectivity: int = 4):
@@ -159,8 +169,7 @@ class GridEnvironment(ExplicitGraph):
             raise ValueError("elevations must be a non-empty 2D grid")
         if not np.isfinite(elev).all():
             raise ValueError("elevations must be finite")
-        if not (cell_size > 0 and math.isfinite(cell_size)):
-            raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+        _check_cell_size(cell_size)
         if not (d >= 0 and math.isfinite(d)):
             raise ValueError(f"sensor offset d must be non-negative and finite, got {d}")
         if not (isinstance(max_step, (int, float)) and max_step >= 0):
@@ -205,12 +214,11 @@ class GridEnvironment(ExplicitGraph):
     def rowcol(self, region: int) -> tuple[int, int]:
         return divmod(_checked(self.n, region), self.width)
 
-    def min_steps(self, a: int, b: int) -> int:
-        ra, ca = divmod(a, self.width)
-        rb, cb = divmod(b, self.width)
-        if self.connectivity == 4:
-            return abs(ra - rb) + abs(ca - cb)
-        return max(abs(ra - rb), abs(ca - cb))
+    def min_steps_to(self, b: int) -> np.ndarray:
+        rb, cb = divmod(_checked(self.n, b), self.width)
+        dr = np.abs(np.arange(self.height, dtype=np.float64) - rb)[:, None]
+        dc = np.abs(np.arange(self.width, dtype=np.float64) - cb)
+        return (dr + dc if self.connectivity == 4 else np.maximum(dr, dc)).ravel()
 
 
 def build_environment(elevations, cell_size: float = 1.0, d: float = 1.0,
@@ -814,7 +822,7 @@ class ExposureField:
 
     def exposure_score(self, region: int) -> float:
         """Fraction of the map visible from a region, in [1/n, 1]."""
-        return self._counts[_checked(self.n, region)] / self.n
+        return float(self.scores()[_checked(self.n, region)])
 
     def scores(self) -> np.ndarray:
         if self._scores is None:
@@ -824,7 +832,7 @@ class ExposureField:
         return self._scores
 
     def min_score(self) -> float:
-        return float(min(self._counts)) / self.n
+        return float(self.scores().min())
 
     def members(self, region: int) -> np.ndarray:
         """Visible regions as a sorted index array."""

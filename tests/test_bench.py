@@ -433,6 +433,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("true", [True, np.bool_(True)], ids=["bool", "np.bool_"])
+    @pytest.mark.parametrize("match, call", [
+        ("tau", lambda world, b: search.plan_saturation(*world, 0, 1, tau=b)),
+        ("node_budget", lambda world, b: plan_exact(*world, 0, 1, node_budget=b)),
+        ("'workers'", lambda world, b: ExperimentConfig(workers=b)),
+        ("'queries'", lambda world, b: ExperimentConfig(queries=b)),
+        ("'taus'", lambda world, b: ExperimentConfig(taus=(b,))),
+        ("'sizes'", lambda world, b: ExperimentConfig(sizes=(b,))),
+        ("'seeds'", lambda world, b: ExperimentConfig(seeds=(b,))),
+        ("'budget'", lambda world, b: ExperimentConfig(node_budget=b)),
+        ("'query_seed'", lambda world, b: ExperimentConfig(query_seed=b)),
+    ], ids=["tau", "node_budget", "workers", "queries", "taus", "sizes", "seeds",
+            "config-budget", "query_seed"])
+    def test_integer_parameters_reject_bools(self, flat5, match, call, true):
+        # as a region does: True would otherwise run as 1
+        with pytest.raises(ValueError, match=match):
+            call(flat5, true)
+
     def test_importing_the_package_loads_no_process_pool(self):
         # run_experiment imports it only for workers > 1
         code = ("import sys, stealthpath; "

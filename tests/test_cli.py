@@ -43,6 +43,16 @@ class TestGen:
         assert code == 2
         assert "size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["-5", "0", "inf", "nan"])
+    def test_bad_cell_size_writes_no_map(self, tmp_path, capsys, cell):
+        # every later command would reject such a map with exit 2
+        out = tmp_path / "x.txt"
+        code = main(["gen", "boxes", "--seed", "1", "--size", "12",
+                     "--cell-size", cell, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cell_size must be positive")
+        assert not out.exists()
+
 
 class TestPlan:
     def test_fixture_exact_objective(self, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,18 @@ class TestBuildCorridor:
         assert rec["corridor"] == bit_indices(cor.corridor)
         assert rec["exposed"] == bit_indices(cor.exposed)
         assert rec["avg_width"] == cor.avg_width
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_record_of_a_numpy_path_is_json(self, boxes12, connected_only):
+        # the corridor keeps the Python ints its path check returns
+        env, field = boxes12
+        path = plan_binary(env, field, 0, 11).path
+        cor = build_corridor(env, field, np.array(path), connected_only=connected_only)
+        assert all(type(r) is int for r in cor.seed_path)
+        rec = json.loads(json.dumps(corridor_record(cor)))
+        assert rec == corridor_record(build_corridor(env, field, path,
+                                                     connected_only=connected_only))
+        assert rec["seed_path"] == path
 
 
 @settings(max_examples=20, deadline=None)

@@ -41,6 +41,14 @@ class TestHeightmapFormat:
         with pytest.raises(ValueError, match="finite"):
             parse_heightmap("1 1 1.0\ninf\n")
 
+    @pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "-5", "0"])
+    def test_cell_size_is_positive_and_finite(self, cell):
+        # the rule GridEnvironment applies, so no map parses that it rejects
+        with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+            parse_heightmap(f"2 1 {cell}\n0 0\n")
+        with pytest.raises(ValueError, match="cell_size must be positive and finite"):
+            format_heightmap(np.zeros((1, 2)), float(cell))
+
 
 class TestExposureFieldFile:
     def test_round_trip(self, tmp_path, boxes12):

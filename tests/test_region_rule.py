@@ -59,7 +59,7 @@ def caller_entries(env, field):
 
 def accessors(env, field):
     """name -> call with region r; the accessors' position is "region"."""
-    return {
+    table = {
         "grid.neighbors": lambda r: env.neighbors(r),
         "graph.neighbors": lambda r: ExplicitGraph(env.n, [(0, 1)]).neighbors(r),
         "rowcol": lambda r: env.rowcol(r),
@@ -70,6 +70,19 @@ def accessors(env, field):
         "exposure_score": lambda r: field.exposure_score(r),
         "members": lambda r: field.members(r).tolist(),
     }
+    # the distance heuristics, on the grid and on a graph with its points
+    worlds = {"grid": lambda: env,
+              "graph": lambda: ExplicitGraph(env.n, [(0, 1)], points=env.points)}
+    for name, world in worlds.items():
+        table.update({
+            f"{name}.min_steps-a": lambda r, w=world: w().min_steps(r, 0),
+            f"{name}.min_steps-b": lambda r, w=world: w().min_steps(0, r),
+            f"{name}.min_steps_to": lambda r, w=world: w().min_steps_to(r).tolist(),
+            f"{name}.manhattan3-a": lambda r, w=world: w().manhattan3(r, 0),
+            f"{name}.manhattan3-b": lambda r, w=world: w().manhattan3(0, r),
+            f"{name}.manhattan3_to": lambda r, w=world: w().manhattan3_to(r).tolist(),
+        })
+    return table
 
 
 CALLERS = sorted(caller_entries(None, None))

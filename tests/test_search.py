@@ -996,16 +996,19 @@ def graph_past_one_word(seed, with_points, n=90):
 
 class TestPushSequenceMatchesOracles:
     """plan_binary and plan_saturation skip a step before pricing it when it
-    cannot beat its region's best g, and plan_ess reads its heuristic from a
-    per-query list. Neither changes a heap push: each planner pushes the
-    frozen oracle's (f, h, region) rows, in the same order."""
+    cannot beat its region's best g, and plan_shortest and plan_ess run one
+    A* over per-query step-cost and heuristic lists. None of these changes a
+    heap push: each planner pushes the frozen oracle's (f, h, region) rows,
+    in the same order."""
 
     CALLS = [("binary", {}), ("saturation", {"tau": 1}), ("saturation", {"tau": 5}),
-             ("ess", {})]
-    IDS = ["binary", "sat1", "sat5", "ess"]
+             ("ess", {}), ("shortest", {})]
+    IDS = ["binary", "sat1", "sat5", "ess", "shortest"]
 
     def assert_same_pushes(self, monkeypatch, env, field, queries, alg, kwargs):
-        if alg == "ess":
+        if alg == "shortest":
+            oracle = lambda s, g: reference_plan_shortest(env, field, s, g)
+        elif alg == "ess":
             oracle = lambda s, g: reference_plan_ess(env, field, s, g)
         elif alg == "binary":
             oracle = lambda s, g: reference_plan_binary(env, field, s, g, kwargs.get("m"))

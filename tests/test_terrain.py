@@ -653,6 +653,21 @@ class TestGridEnvironment:
         assert env4.min_steps(a, b) == 5
         assert env8.min_steps(a, b) == 3
 
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_min_steps_to_is_the_grid_distance(self, connectivity):
+        env = build_environment(np.zeros((4, 7)), connectivity=connectivity)
+        for b in range(env.n):
+            rb, cb = b // 7, b % 7
+            want = []
+            for a in range(env.n):
+                dr, dc = abs(a // 7 - rb), abs(a % 7 - cb)
+                want.append(float(dr + dc if connectivity == 4 else max(dr, dc)))
+            got = env.min_steps_to(b)
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+            steps = [env.min_steps(a, b) for a in range(env.n)]
+            assert steps == want and all(type(v) is int for v in steps)
+
     def test_manhattan3(self):
         env = build_environment([[0.0, 2.0]], cell_size=4.0)
         assert env.manhattan3(0, 1) == pytest.approx(4.0 + 0.0 + 2.0)
