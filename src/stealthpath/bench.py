@@ -20,6 +20,10 @@ run_experiment executes the full query protocol: seeded start/goal pairs,
 every requested planner (the saturation planner fanned out over a tau
 sweep), per-query runtime ratios against the exposure-agnostic baseline,
 optimality gaps where the exact planner finished, and corridor widths.
+ExperimentConfig checks only what is its own: known names, lists that are
+non-empty and repeat no entry, and workers against timing. Every other value
+passes the rule of the code that reads it (_KEY_RULES); the map size's is
+_check_size here, which both generators call.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,13 +40,14 @@ import numpy as np
 from .bitset import mask_from_indices
 from .corridor import build_corridor
 from .search import (ALGORITHMS, DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND,
-                     _whole, obj_bin, plan, plan_shortest, score_path)
+                     _check_p, _integer, obj_bin, plan, plan_shortest, score_path)
 # Bound here though unused: perfbench/tracing.py wraps the planners and
 # objectives by name in this module as well as in search.
 from .search import (obj_acc, path_counts, plan_binary, plan_ess,  # noqa: F401
                      plan_exact, plan_saturation)
-from .terrain import (ExplicitGraph, ExposureField, build_environment,
-                      compute_exposure_field, region_id)
+from .terrain import (ExplicitGraph, ExposureField, _check_cell_size, _check_d,
+                      _check_max_step, build_environment, compute_exposure_field,
+                      region_id)
 
 DEFAULT_CELL_SIZE = 10.0
 DEFAULT_MAX_STEP = 1.0
@@ -56,6 +60,11 @@ MAP_KINDS = ("boxes", "hills")
 
 # -- map generators -----------------------------------------------------------
 
+def _check_size(size) -> int:
+    """The map-size rule, for both generators and the experiment's sizes."""
+    return _integer("size", size, MIN_MAP_SIZE)
+
+
 def gen_boxes(seed: int, size: int) -> np.ndarray:
     """Flat plain studded with solid rectangular blocks.
 
@@ -63,8 +72,7 @@ def gen_boxes(seed: int, size: int) -> np.ndarray:
     stop movement), rest fully inside the border, and keep a one-cell gap
     from each other so every wall cell stays reachable.
     """
-    if size < MIN_MAP_SIZE:
-        raise ValueError(f"size must be at least {MIN_MAP_SIZE} to place boxes, got {size}")
+    size = _check_size(size)
     rng = np.random.default_rng(seed)
     elev = np.zeros((size, size))
     placed: list[tuple[int, int, int, int]] = []
@@ -97,8 +105,7 @@ def gen_hills(seed: int, size: int,
     rescaled if needed so the steepest adjacent step is 0.9, keeping the
     whole map traversable under DEFAULT_MAX_STEP.
     """
-    if size < MIN_MAP_SIZE:
-        raise ValueError(f"size must be at least {MIN_MAP_SIZE}, got {size}")
+    size = _check_size(size)
     rng = np.random.default_rng(seed)
     x, y = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
     elev = np.zeros((size, size))
@@ -286,47 +293,49 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Raise ConfigError, naming the config file's key, for a value no
-        experiment can run with."""
+        experiment can run with: every value is checked here, before the
+        first map is built, and stored as its field's rule returns it."""
+        for key, rule in _KEY_RULES.items():
+            name = _CONFIG_KEYS.get(key, key)
+            try:
+                object.__setattr__(self, name, rule(getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(f"config key '{key}': {exc}") from None
         for kind in self.kinds:
             if kind not in MAP_KINDS:
                 raise ConfigError(f"config key 'maps': unknown kind '{kind}'")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(f"config key 'algorithms': unknown algorithm '{alg}'")
-        # every value is checked at construction, before the first map is built
-        for key, ok, problem in (
-                ("maps", len(self.kinds) > 0, "must name at least one map kind"),
-                ("algorithms", len(self.algorithms) > 0, "must name at least one algorithm"),
-                ("sizes", len(self.sizes) > 0, "must list at least one size"),
-                ("seeds", len(self.seeds) > 0, "must list at least one seed"),
-                ("taus", len(self.taus) > 0 or "saturation" not in self.algorithms,
-                 "must list at least one tau when algorithms include saturation"),
-                ("workers", _whole(self.workers) and self.workers >= 1,
-                 f"must be an integer of at least 1, got {self.workers}"),
-                ("workers", self.workers == 1 or not self.timing,
-                 f"must be 1 while timing is on, got {self.workers}"),
-                ("queries", _whole(self.queries) and self.queries >= 0,
-                 f"must be a non-negative integer, got {self.queries}"),
-                ("p_success", 0.0 < self.p_success < 1.0,
-                 f"must be in (0, 1), got {self.p_success}"),
-                ("taus", all(_whole(t) and t >= 1 for t in self.taus),
-                 "entries must be positive integers"),
-                ("sizes", all(_whole(v) and v >= MIN_MAP_SIZE for v in self.sizes),
-                 f"entries must be integers of at least {MIN_MAP_SIZE}, got {self.sizes}"),
-                ("seeds", all(_whole(v) and v >= 0 for v in self.seeds),
-                 f"entries must be non-negative integers, got {self.seeds}"),
-                ("budget", _whole(self.node_budget) and self.node_budget >= 1,
-                 f"must be a positive integer, got {self.node_budget}"),
-                # the bounds GridEnvironment enforces
-                ("cell_size", 0.0 < self.cell_size < math.inf,
-                 f"must be positive and finite, got {self.cell_size}"),
-                ("max_step", self.max_step >= 0.0, f"must be non-negative, got {self.max_step}"),
-                ("d", 0.0 <= self.d < math.inf, f"must be non-negative and finite, got {self.d}"),
-                ("query_seed", _whole(self.query_seed) and self.query_seed >= 0,
-                 f"must be a non-negative integer, got {self.query_seed}")):
-            if not ok:
-                raise ConfigError(f"config key '{key}': {problem}")
+        for key, values in (("maps", self.kinds), ("sizes", self.sizes), ("seeds", self.seeds),
+                            ("algorithms", self.algorithms), ("taus", self.taus)):
+            if not values and (key != "taus" or "saturation" in self.algorithms):
+                raise ConfigError(f"config key '{key}': must list at least one entry"
+                                  + " when algorithms include saturation" * (key == "taus"))
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"config key '{key}': {value!r} is listed twice")
+        if self.workers > 1 and self.timing:
+            raise ConfigError(f"config key 'workers': must be 1 while timing is on, "
+                              f"got {self.workers}")
 
+
+# Each key's rule, from the code that reads its value, for every key but the
+# lists of names and timing: the value as that code takes it (a whole float as
+# an int), else a ValueError. A list's rule checks each entry.
+_KEY_RULES = {
+    "sizes": lambda sizes: tuple(map(_check_size, sizes)),
+    "seeds": lambda seeds: tuple(_integer("seed", seed, 0) for seed in seeds),
+    "queries": lambda queries: _integer("queries", queries, 0),
+    "taus": lambda taus: tuple(_integer("tau", tau) for tau in taus),
+    "p_success": _check_p,
+    "budget": lambda budget: _integer("node_budget", budget),
+    "cell_size": _check_cell_size,
+    "max_step": _check_max_step,
+    "d": _check_d,
+    "query_seed": lambda seed: _integer("query_seed", seed, 0),
+    "workers": lambda workers: _integer("workers", workers),
+}
 
 # Each config key names an ExperimentConfig field, but for these two.
 _CONFIG_KEYS = {"maps": "kinds", "budget": "node_budget"}
@@ -381,7 +390,7 @@ def _parse_config_value(default, value: str):
 def _query_cells(config: ExperimentConfig) -> list[tuple[str, Optional[int]]]:
     """(algorithm, tau) of each planner call per query: saturation once per tau."""
     return [(alg, tau) for alg in config.algorithms
-            for tau in (map(int, config.taus) if alg == "saturation" else [None])]
+            for tau in (config.taus if alg == "saturation" else [None])]
 
 
 def _map_records(args: tuple[ExperimentConfig, int, tuple[str, str, int, int]]) -> list[dict]:

@@ -171,6 +171,8 @@ def _path_from_args(args, world: _World) -> list[int]:
 
 
 def cmd_corridor(args) -> int:
+    if args.render_out and args.fixture:
+        raise ValueError("the fixture has no grid geometry to render")
     world = _World(args)
     path = _path_from_args(args, world)
     search.validate_path(world.env, path)
@@ -178,8 +180,6 @@ def cmd_corridor(args) -> int:
                          connected_only=args.connected_only)
     print(json.dumps(corridor_record(cor)))
     if args.render_out:
-        if world.fixture is not None:
-            raise ValueError("the fixture has no grid geometry to render")
         image = render.compose(world.env, world.field, path=path,
                                corridor_mask=cor.corridor)
         render.write_pgm(args.render_out, image)

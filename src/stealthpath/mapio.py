@@ -28,10 +28,10 @@ EXPF_MAGIC = b"EXPF"
 
 
 def format_heightmap(elevations, cell_size: float) -> str:
-    _check_cell_size(cell_size)
+    cell_size = _check_cell_size(cell_size)
     elev = np.asarray(elevations, dtype=np.float64)
     height, width = elev.shape
-    lines = [f"{width} {height} {float(cell_size)!r}"]
+    lines = [f"{width} {height} {cell_size!r}"]
     for r in range(height):
         lines.append(" ".join(repr(float(v)) for v in elev[r]))
     return "\n".join(lines) + "\n"

@@ -48,14 +48,16 @@ Every PlanResult carries stats, a SearchStats from _best_first: pushes,
 stale_pops, peak_frontier and closed. result_record leaves them out.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
-path_ids) on the way in. Inner loops then read field.rows, env.adjacency
-and heuristic lists built once per query (env.min_steps_to for shortest,
-env.manhattan3_to for ess and saturation), with no per-neighbour range check;
-shortest and ess share one A*, _fixed_cost_astar. Set differences use
-positive ints only: x ^ (x & y) for x & ~y, and |x| - |x & y| for its size,
-the same integers. ~y is negative, and x & ~y takes CPython's
-two's-complement path: about 290 ns against 130 ns for x ^ (x & y) on
-1600-bit rows (2-core Xeon, Python 3.11).
+path_ids) on the way in, and each parameter its one rule here: _check_p for
+p_success, the integer rule _integer for tau and node_budget. A rule returns
+the value as the planners read it (a whole float such as 5.0 as the int 5).
+Inner loops then read field.rows, env.adjacency and heuristic lists built
+once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
+saturation), with no per-neighbour range check; shortest and ess share one
+A*, _fixed_cost_astar. Set differences use positive ints only: x ^ (x & y)
+for x & ~y, and |x| - |x & y| for its size, the same integers. ~y is
+negative, and x & ~y takes CPython's two's-complement path: about 290 ns
+against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import exposed_set
-from .terrain import check_field_matches, path_ids, region_id
+from .terrain import _real, check_field_matches, path_ids, region_id
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -128,7 +130,7 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     """
     n = field.n
     idx = np.asarray(path_ids(n, path), dtype=np.intp)
-    tau = _positive_int("tau", tau)
+    tau = _integer("tau", tau)
     bits = np.unpackbits(field.to_packed()[idx], axis=1, count=n, bitorder="little")
     counts = bits.sum(axis=0, dtype=np.int64)
     # add.at, not +=: a region the path occupies twice gains tau - 1 twice
@@ -142,8 +144,7 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
     Sum over regions of -log10(max(p_success**c_i, p_success**tau)); the
     clamp caps what any single region can contribute at tau sightings.
     """
-    _check_p(p_success)
-    tau = _positive_int("tau", tau)
+    p_success, tau = _check_p(p_success), _integer("tau", tau)
     c = np.asarray(counts)
     if c.size and c.min() < 0:
         raise ValueError("counts must be non-negative")
@@ -168,25 +169,21 @@ def _check_query(env, field, s: int, g: int) -> tuple[int, int]:
     return region_id(env.n, s, "start region"), region_id(env.n, g, "goal region")
 
 
-def _check_p(p_success: float) -> None:
-    if not 0.0 < p_success < 1.0:
-        raise ValueError(f"p_success must be in (0, 1), got {p_success}")
+def _check_p(p_success) -> float:
+    """The p_success rule: a number in (0, 1), returned as a float."""
+    if not (_real(p_success) and 0.0 < p_success < 1.0):
+        raise ValueError(f"p_success must be in (0, 1), got {p_success!r}")
+    return float(p_success)
 
 
-def _whole(value) -> bool:
-    """Whether value is a whole number (5 or 5.0; not True, 5.5, nan, inf or
-    None): a bool is rejected, as a region is."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _positive_int(name: str, value) -> int:
-    if not (_whole(value) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+def _integer(name: str, value, least: int = 1) -> int:
+    """The integer rule, for tau, node_budget, the map size and the
+    experiment's counts and seeds: value as an int if it is a whole number (5,
+    np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None or a string) of at
+    least `least`."""
+    if not (_real(value) and least <= value < math.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer of at least {least} "
+                         f"(integers or whole floats), got {value!r}")
     return int(value)
 
 
@@ -356,8 +353,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     node, where a count array would take n machine words.
     """
     s, g = _check_query(env, field, s, g)
-    tau = _positive_int("tau", tau)
-    _check_p(p_success)
+    tau, p_success = _integer("tau", tau), _check_p(p_success)
     params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
     unit = -math.log10(p_success)
@@ -431,8 +427,7 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     """Cost plan_saturation assigns to stepping into dest from a node whose
     accumulated counts are given. Exposed here for transition-level tests;
     it prices the step with the planner's own rule."""
-    tau = _positive_int("tau", tau)
-    _check_p(p_success)
+    tau, p_success = _integer("tau", tau), _check_p(p_success)
     clamped = np.minimum(np.asarray(counts), tau)
     slices = tuple(mask_from_indices(np.flatnonzero(clamped >> k & 1))
                    for k in range(tau.bit_length()))
@@ -467,7 +462,7 @@ def plan_exact(env, field, s: int, g: int,
     """
     s, g = _check_query(env, field, s, g)
     # an int count of expansions never equals a fractional or infinite budget
-    node_budget = _positive_int("node_budget", node_budget)
+    node_budget = _integer("node_budget", node_budget)
     params = {"node_budget": node_budget}
     t0 = time.perf_counter()
 

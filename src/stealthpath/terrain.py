@@ -22,12 +22,15 @@ they are grid-adjacent (4- or 8-connectivity) and their elevation difference
 is within ``max_step``. A region is never traversable to itself.
 
 Every region a caller hands in, here or to any other module, is checked by
-one rule, region_id (path_ids for a path).
+one rule, region_id (path_ids for a path). The grid's parameters have one
+rule each, _check_cell_size, _check_d and _check_max_step, which take a
+number (_real: never a bool or a string) and return it as a float.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -80,11 +83,29 @@ def path_ids(n: int, path: Sequence[int]) -> list[int]:
     raise error
 
 
-def _check_cell_size(cell_size: float) -> None:
+def _real(value) -> bool:
+    """Whether value is a number: an int, float or numpy number, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_cell_size(cell_size) -> float:
     """The cell-size rule, for a GridEnvironment and every heightmap file
     read or written, so no command writes a map that the others reject."""
-    if not (cell_size > 0 and math.isfinite(cell_size)):
-        raise ValueError(f"cell_size must be positive and finite, got {cell_size}")
+    if not (_real(cell_size) and 0 < cell_size < math.inf):
+        raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
+    return float(cell_size)
+
+
+def _check_d(d) -> float:
+    if not (_real(d) and 0 <= d < math.inf):
+        raise ValueError(f"sensor offset d must be non-negative and finite, got {d!r}")
+    return float(d)
+
+
+def _check_max_step(max_step) -> float:
+    if not (_real(max_step) and max_step >= 0):
+        raise ValueError(f"max_step must be non-negative, got {max_step!r}")
+    return float(max_step)
 
 
 def _checked(n: int, region) -> int:
@@ -169,20 +190,15 @@ class GridEnvironment(ExplicitGraph):
             raise ValueError("elevations must be a non-empty 2D grid")
         if not np.isfinite(elev).all():
             raise ValueError("elevations must be finite")
-        _check_cell_size(cell_size)
-        if not (d >= 0 and math.isfinite(d)):
-            raise ValueError(f"sensor offset d must be non-negative and finite, got {d}")
-        if not (isinstance(max_step, (int, float)) and max_step >= 0):
-            raise ValueError(f"max_step must be non-negative, got {max_step}")
+        self.cell_size = _check_cell_size(cell_size)
+        self.d = _check_d(d)
+        self.max_step = _check_max_step(max_step)
         if connectivity not in (4, 8):
             raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
 
         elev.setflags(write=False)
         self.elevations = elev
         self.height, self.width = elev.shape
-        self.cell_size = float(cell_size)
-        self.d = float(d)
-        self.max_step = float(max_step)
         self.connectivity = connectivity
 
         n = elev.size

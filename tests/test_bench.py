@@ -514,3 +514,23 @@ class TestConfigParsing:
         for gen in (gen_boxes, gen_hills):
             with pytest.raises(ValueError, match="size"):
                 gen(1, MIN_MAP_SIZE - 1)
+
+    @pytest.mark.parametrize("key, text, entry", [
+        ("maps", "boxes, hills, boxes", "'boxes'"),
+        ("sizes", "10, 12, 10", "10"),
+        ("seeds", "1, 1", "1"),
+        ("algorithms", "shortest, shortest", "'shortest'"),
+        ("taus", "1, 1", "1"),
+    ])
+    def test_a_repeated_entry_is_an_error(self, key, text, entry):
+        # a repeated seed ran two query sets under one map id, and a repeated
+        # algorithm or tau counted its cells twice in summary.csv
+        with pytest.raises(ConfigError, match=f"^config key '{key}': {entry} is listed twice"):
+            config_from_mapping({key: text})
+
+    def test_entries_repeat_as_the_values_they_store(self):
+        # 10.0 is stored as 10, so it repeats 10
+        with pytest.raises(ConfigError, match="'sizes': 10 is listed twice"):
+            ExperimentConfig(sizes=(10, 10.0))
+        with pytest.raises(ConfigError, match="'seeds': 1 is listed twice"):
+            ExperimentConfig(seeds=(np.int64(1), 1))

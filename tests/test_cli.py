@@ -261,6 +261,16 @@ class TestCorridor:
         assert img.shape == (12, 12)
         assert img[0, 0] == 0  # path cell painted black
 
+    def test_fixture_render_is_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "x.pgm"
+        code = main(["corridor", "--fixture", "--path", "FCBADE",
+                     "--render-out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestRender:
     def test_flat_is_black_and_deterministic(self, tmp_path):
@@ -316,6 +326,18 @@ class TestExperiment:
                      "--out-dir", str(tmp_path / "r")])
         assert code == 2
         assert "volume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [("max_step = -1", "max_step"),
+                                           ("seeds = 1, 1", "seeds")])
+    def test_config_error_is_raised_before_the_out_dir_is_made(self, tmp_path, capsys,
+                                                              text, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"maps = boxes\nsizes = 10\nqueries = 1\n{text}\n")
+        out = tmp_path / "r"
+        code = main(["experiment", "--config", str(cfg), "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["experiment", "--config", str(tmp_path / "nope.cfg"),

@@ -1,0 +1,148 @@
+"""One rule per parameter, stated in the module whose code reads the value
+(search._check_p, _check_tau, _check_budget and _integer;
+terrain._check_cell_size, _check_d and _check_max_step; bench._check_size),
+applied at every entry point that takes the parameter.
+
+Each rule takes a number, never a bool or a string, and returns it in the
+type its code needs: an int for a count, size or seed (a whole float such as
+5.0 included), a float for a length or a probability. A rejection is a
+ValueError naming the parameter; ExperimentConfig raises it as a ConfigError
+naming the config key."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from stealthpath import (ExperimentConfig, GridEnvironment, build_environment, gen_boxes,
+                         gen_hills, generate_map, obj_acc, path_counts, plan, plan_exact,
+                         plan_saturation, run_experiment)
+from stealthpath.bench import ConfigError
+from stealthpath.mapio import format_heightmap
+from stealthpath.search import saturation_step_cost, score_path
+
+
+def values(k):
+    """The table's values for a parameter whose whole test value is k."""
+    return {"True": True, "np.bool_": np.bool_(True), "np.int64": np.int64(k),
+            "float": float(k), "half": k + 0.5, "nan": math.nan, "inf": math.inf,
+            "-1": -1, "None": None, "str": "1"}
+
+
+# parameter -> (k, the values the rule accepts, the name a rejection gives,
+# the config field and key, the type the config stores)
+PARAMETERS = {
+    "p_success": (0, {"half"}, "p_success", "p_success", "p_success", float),
+    "tau": (2, {"np.int64", "float"}, "tau", "taus", "taus", int),
+    "node_budget": (5, {"np.int64", "float"}, "node_budget", "node_budget", "budget", int),
+    "cell_size": (1, {"np.int64", "float", "half"}, "cell_size", "cell_size", "cell_size",
+                  float),
+    "d": (1, {"np.int64", "float", "half"}, "sensor offset d", "d", "d", float),
+    "max_step": (1, {"np.int64", "float", "half", "inf"}, "max_step", "max_step",
+                 "max_step", float),
+    "size": (10, {"np.int64", "float"}, "size", "sizes", "sizes", int),
+    "seeds": (1, {"np.int64", "float"}, "seed", "seeds", "seeds", int),
+    "queries": (1, {"np.int64", "float"}, "queries", "queries", "queries", int),
+    "query_seed": (1, {"np.int64", "float"}, "query_seed", "query_seed", "query_seed", int),
+    "workers": (1, {"np.int64", "float"}, "workers", "workers", "workers", int),
+}
+VALUES = sorted(values(0))
+
+
+def entry_points(param, env, field):
+    """name -> call with the parameter's value v, for every entry point other
+    than ExperimentConfig that takes it."""
+    elev = np.zeros((3, 3))
+    table = {
+        "p_success": {
+            "plan": lambda v: plan("saturation", env, field, 0, 6, tau=2, p_success=v),
+            "plan_saturation": lambda v: plan_saturation(env, field, 0, 6, 2, v),
+            "obj_acc": lambda v: obj_acc([0, 1], v, 2),
+            "score_path": lambda v: score_path(field, [0, 1], 2, v),
+            "saturation_step_cost": lambda v: saturation_step_cost(field, np.zeros(env.n, int),
+                                                                   1, 2, v),
+        },
+        "tau": {
+            "plan": lambda v: plan("saturation", env, field, 0, 6, tau=v),
+            "plan_saturation": lambda v: plan_saturation(env, field, 0, 6, v),
+            "path_counts": lambda v: path_counts(field, [0, 1], v),
+            "obj_acc": lambda v: obj_acc([0, 1], 0.9, v),
+            # score_path is left out here: its tau of None means 1
+            "saturation_step_cost": lambda v: saturation_step_cost(field, np.zeros(env.n, int),
+                                                                   1, v, 0.9),
+        },
+        "node_budget": {
+            "plan": lambda v: plan("exact", env, field, 0, 6, node_budget=v),
+            "plan_exact": lambda v: plan_exact(env, field, 0, 6, v),
+        },
+        "cell_size": {
+            "build_environment": lambda v: build_environment(elev, cell_size=v),
+            "GridEnvironment": lambda v: GridEnvironment(elev, cell_size=v),
+            "format_heightmap": lambda v: format_heightmap(elev, v),
+        },
+        "d": {
+            "build_environment": lambda v: build_environment(elev, d=v),
+            "GridEnvironment": lambda v: GridEnvironment(elev, d=v),
+        },
+        "max_step": {
+            "build_environment": lambda v: build_environment(elev, max_step=v),
+            "GridEnvironment": lambda v: GridEnvironment(elev, max_step=v),
+        },
+        "size": {
+            "gen_boxes": lambda v: gen_boxes(1, v),
+            "gen_hills": lambda v: gen_hills(1, v),
+            "generate_map-boxes": lambda v: generate_map("boxes", 1, v),
+            "generate_map-hills": lambda v: generate_map("hills", 1, v),
+        },
+    }
+    return table.get(param, {})
+
+
+ENTRIES = [(param, name) for param in PARAMETERS
+           for name in sorted(entry_points(param, None, None))]
+
+
+def _config(param, v):
+    """An ExperimentConfig of one 10x10 map and one query, with v in the
+    parameter's field (a one-entry tuple for a tuple field)."""
+    _, _, _, name, _, _ = PARAMETERS[param]
+    kwargs = {"kinds": ("boxes",), "sizes": (10,), "seeds": (1,), "queries": 1,
+              "algorithms": ("shortest", "binary"), "timing": False}
+    if param in ("tau", "p_success"):
+        kwargs.update(algorithms=("shortest", "saturation"), taus=(2,))
+    if param == "node_budget":
+        kwargs["algorithms"] = ("shortest", "exact")
+    kwargs[name] = (v,) if isinstance(kwargs.get(name), tuple) else v
+    return ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", VALUES)
+@pytest.mark.parametrize("param, entry", ENTRIES, ids=["-".join(e) for e in ENTRIES])
+def test_entry_points_give_one_verdict(flat5, param, entry, value):
+    k, accepted, named, _, _, _ = PARAMETERS[param]
+    call = entry_points(param, *flat5)[entry]
+    v = values(k)[value]
+    if value in accepted:
+        call(v)
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} must "):
+            call(v)
+
+
+@pytest.mark.parametrize("value", VALUES)
+@pytest.mark.parametrize("param", PARAMETERS)
+def test_the_config_gives_the_same_verdict(param, value):
+    k, accepted, _, name, key, kind = PARAMETERS[param]
+    v = values(k)[value]
+    if value not in accepted:
+        with pytest.raises(ConfigError, match=rf"^config key '{key}': "):
+            _config(param, v)
+        return
+    cfg = _config(param, v)
+    stored = getattr(cfg, name)
+    stored = stored[0] if isinstance(stored, tuple) else stored
+    assert type(stored) is kind and stored == v
+    # the value as stored runs: one 10x10 map, one query, every cell done
+    records = run_experiment(cfg)
+    assert records and all(rec["status"] != "error" for rec in records)
