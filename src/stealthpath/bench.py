@@ -23,7 +23,8 @@ optimality gaps where the exact planner finished, and corridor widths.
 ExperimentConfig checks only what is its own: known names, lists that are
 non-empty and repeat no entry, and workers against timing. Every other value
 passes the rule of the code that reads it (_KEY_RULES); the map size's is
-_check_size here, which both generators call.
+_check_size here, which both generators call, and both check their seed
+with the integer rule _integer, as _KEY_RULES does.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def gen_boxes(seed: int, size: int) -> np.ndarray:
     from each other so every wall cell stays reachable.
     """
     size = _check_size(size)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     elev = np.zeros((size, size))
     placed: list[tuple[int, int, int, int]] = []
     want = max(3, size * size // 250)
@@ -106,7 +107,7 @@ def gen_hills(seed: int, size: int,
     whole map traversable under DEFAULT_MAX_STEP.
     """
     size = _check_size(size)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     x, y = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
     elev = np.zeros((size, size))
     for _ in range(max(3, size // 6)):
@@ -178,7 +179,7 @@ def lemma1_fixture() -> FixtureGraph:
             for name in FIXTURE_NAMES]
     edges = [(idx[a], idx[b]) for a, b in _FIXTURE_MOVES]
     graph = ExplicitGraph(len(FIXTURE_NAMES), edges)
-    return FixtureGraph(graph, ExposureField(rows, validate=True))
+    return FixtureGraph(graph, ExposureField(rows))
 
 
 # -- oracles ------------------------------------------------------------------

@@ -8,6 +8,11 @@ Exposure fields use a small binary container (magic "EXPF"): a u32
 little-endian region count, then one ceil(n/8)-byte little-endian bitset row
 per region. The loader re-validates reflexivity and symmetry, since a stale
 or corrupt cache would silently poison every planner that consumes it.
+
+Every writer applies its reader's rules, so no file written here is
+rejected when read back: the cell size (_check_cell_size) and the grid
+(_check_elevations) for heightmaps, and the relation (ExposureField.validate,
+which every field passes when it is built) for fields.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .terrain import (ExposureField, GridEnvironment, _check_cell_size,
+from .terrain import (ExposureField, GridEnvironment, _check_cell_size, _check_elevations,
                       check_field_matches, compute_exposure_field)
 
 EXPF_MAGIC = b"EXPF"
@@ -29,7 +34,7 @@ EXPF_MAGIC = b"EXPF"
 
 def format_heightmap(elevations, cell_size: float) -> str:
     cell_size = _check_cell_size(cell_size)
-    elev = np.asarray(elevations, dtype=np.float64)
+    elev = _check_elevations(elevations)
     height, width = elev.shape
     lines = [f"{width} {height} {cell_size!r}"]
     for r in range(height):
@@ -68,9 +73,7 @@ def parse_heightmap(text: str) -> tuple[np.ndarray, float]:
             elev[r] = [float(v) for v in vals]
         except ValueError as exc:
             raise ValueError(f"row {r}: {exc}") from None
-    if not np.isfinite(elev).all():
-        raise ValueError("elevations must be finite")
-    return elev, cell_size
+    return _check_elevations(elev), cell_size
 
 
 def load_heightmap(path) -> tuple[np.ndarray, float]:
@@ -106,7 +109,7 @@ def load_exposure_field(path) -> ExposureField:
     if len(body) != n * nbytes:
         raise ValueError(f"{path}: expected {n * nbytes} row bytes, found {len(body)}")
     packed = np.frombuffer(body, dtype=np.uint8).reshape(n, nbytes)
-    return ExposureField.from_packed(packed, n, validate=True)
+    return ExposureField.from_packed(packed, n)
 
 
 def field_cache_path(map_bytes: bytes, d: float, cache_dir) -> Path:

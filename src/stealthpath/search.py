@@ -48,9 +48,10 @@ Every PlanResult carries stats, a SearchStats from _best_first: pushes,
 stale_pops, peak_frontier and closed. result_record leaves them out.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
-path_ids) on the way in, and each parameter its one rule here: _check_p for
-p_success, the integer rule _integer for tau and node_budget. A rule returns
-the value as the planners read it (a whole float such as 5.0 as the int 5).
+path_ids) on the way in, and each parameter its one rule: _check_p for
+p_success and _check_m for m here, terrain's integer rule _integer for tau
+and node_budget. A rule returns the value as the planners read it (a whole
+float such as 5.0 as the int 5).
 Inner loops then read field.rows, env.adjacency and heuristic lists built
 once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
 saturation), with no per-neighbour range check; shortest and ess share one
@@ -73,7 +74,7 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import exposed_set
-from .terrain import _real, check_field_matches, path_ids, region_id
+from .terrain import _integer, _real, check_field_matches, path_ids, region_id
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -176,15 +177,12 @@ def _check_p(p_success) -> float:
     return float(p_success)
 
 
-def _integer(name: str, value, least: int = 1) -> int:
-    """The integer rule, for tau, node_budget, the map size and the
-    experiment's counts and seeds: value as an int if it is a whole number (5,
-    np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None or a string) of at
-    least `least`."""
-    if not (_real(value) and least <= value < math.inf and value % 1 == 0):
-        raise ValueError(f"{name} must be an integer of at least {least} "
-                         f"(integers or whole floats), got {value!r}")
-    return int(value)
+def _check_m(m, n: int) -> float:
+    """The m rule, for plan_binary and binary_step_cost: a number in (0, 1/n),
+    returned as a float."""
+    if not (_real(m) and 0.0 < m < 1.0 / n):
+        raise ValueError(f"m must be in (0, 1/n), got {m!r} with n = {n}")
+    return float(m)
 
 
 # -- planners -----------------------------------------------------------------
@@ -299,10 +297,7 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
     Heuristic: goal exposures not yet in the accumulator.
     """
     s, g = _check_query(env, field, s, g)
-    if m is None:
-        m = 1.0 / (2 * env.n)
-    if not 0.0 < m < 1.0 / env.n:
-        raise ValueError(f"m must be in (0, 1/n); got {m} with n = {env.n}")
+    m = _check_m(1.0 / (2 * env.n) if m is None else m, env.n)
     params = {"m": m}
     t0 = time.perf_counter()
 
@@ -438,6 +433,7 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
     """Cost plan_binary assigns to the same transition, for the tau = 1 link."""
+    m = _check_m(m, field.n)
     return float(_binary_delta(field.rows, field._counts, accumulator, dest)) + m
 
 

@@ -24,7 +24,12 @@ is within ``max_step``. A region is never traversable to itself.
 Every region a caller hands in, here or to any other module, is checked by
 one rule, region_id (path_ids for a path). The grid's parameters have one
 rule each, _check_cell_size, _check_d and _check_max_step, which take a
-number (_real: never a bool or a string) and return it as a float.
+number (_real: never a bool or a string) and return it as a float;
+connectivity passes the integer rule, _integer. The two data objects that
+cross the library boundary have one rule each, applied wherever a caller
+makes, reads or writes one: _check_elevations for a heightmap grid (a
+non-empty 2D grid of finite numbers) and ExposureField.validate for an
+exposure relation (reflexive, symmetric, no bit past n).
 """
 
 from __future__ import annotations
@@ -58,11 +63,16 @@ _OFFSETS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
 _OFFSETS_8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
+def _int(value) -> bool:
+    """Whether value is an int or a numpy integer, never a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def region_id(n: int, r, name: str, out_of_range: type = ValueError) -> int:
-    """r as a Python int if it is a region: an int or numpy integer, never a
-    bool or a float, in [0, n). Else a ValueError naming `name` ("path[1]",
-    "start region"), or out_of_range, which the accessors set to IndexError."""
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+    """r as a Python int if it is a region: an int or numpy integer (_int) in
+    [0, n). Else a ValueError naming `name` ("path[1]", "start region"), or
+    out_of_range, which the accessors set to IndexError."""
+    if not _int(r):
         raise ValueError(f"{name} must be an integer, got {r!r}")
     if not 0 <= r < n:
         raise out_of_range(f"{name} out of range: region {r} outside [0, {n})")
@@ -86,6 +96,32 @@ def path_ids(n: int, path: Sequence[int]) -> list[int]:
 def _real(value) -> bool:
     """Whether value is a number: an int, float or numpy number, never a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(name: str, value, least: int = 1) -> int:
+    """The integer rule, for connectivity, tau, node_budget, the map size and
+    seeds and the experiment's counts: value as an int if it is a whole
+    number (5, np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None or a
+    string) of at least `least`."""
+    if not (_real(value) and least <= value < math.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be an integer of at least {least} "
+                         f"(integers or whole floats), got {value!r}")
+    return int(value)
+
+
+def _check_elevations(elevations) -> np.ndarray:
+    """The grid rule, for a GridEnvironment and every heightmap file read or
+    written: a non-empty 2D grid of finite numbers, as a new float64 array."""
+    try:  # a ragged grid, or an element float() rejects
+        grid = np.asarray(elevations)
+        elev = np.array(grid, dtype=np.float64) if grid.dtype.kind in "iufO" else np.empty(0)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"elevations must be a non-empty 2D grid of numbers ({exc})") from None
+    if elev.ndim != 2 or elev.size == 0:  # also a grid of bools, strings or complex numbers
+        raise ValueError("elevations must be a non-empty 2D grid of numbers")
+    if not np.isfinite(elev).all():
+        raise ValueError("elevations must be finite")
+    return elev
 
 
 def _check_cell_size(cell_size) -> float:
@@ -185,21 +221,17 @@ class GridEnvironment(ExplicitGraph):
 
     def __init__(self, elevations, cell_size: float = 1.0, d: float = 1.0,
                  max_step: float = math.inf, connectivity: int = 4):
-        elev = np.array(elevations, dtype=np.float64)
-        if elev.ndim != 2 or elev.size == 0:
-            raise ValueError("elevations must be a non-empty 2D grid")
-        if not np.isfinite(elev).all():
-            raise ValueError("elevations must be finite")
+        elev = _check_elevations(elevations)
         self.cell_size = _check_cell_size(cell_size)
         self.d = _check_d(d)
         self.max_step = _check_max_step(max_step)
-        if connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+        self.connectivity = _integer("connectivity", connectivity, 4)
+        if self.connectivity not in (4, 8):
+            raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
 
         elev.setflags(write=False)
         self.elevations = elev
         self.height, self.width = elev.shape
-        self.connectivity = connectivity
 
         n = elev.size
         rows, cols = np.divmod(np.arange(n), self.width)
@@ -213,7 +245,7 @@ class GridEnvironment(ExplicitGraph):
 
         # one column per offset; the offsets are in row-major order, so each
         # cell's neighbours come out sorted
-        offsets = np.array(_OFFSETS_4 if connectivity == 4 else _OFFSETS_8)
+        offsets = np.array(_OFFSETS_4 if self.connectivity == 4 else _OFFSETS_8)
         nr, nc = rows[:, None] + offsets[:, 0], cols[:, None] + offsets[:, 1]
         inside = (nr >= 0) & (nr < self.height) & (nc >= 0) & (nc < self.width)
         nbr = np.where(inside, nr * self.width + nc, 0)
@@ -223,9 +255,13 @@ class GridEnvironment(ExplicitGraph):
         self._set_graph(tuple(tuple(found[a:b]) for a, b in zip([0] + ends, ends)), pts)
 
     def index(self, row: int, col: int) -> int:
+        """The region of a cell; row and col are ints or numpy integers (_int)."""
+        for name, value in (("row", row), ("col", col)):
+            if not _int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0 <= row < self.height and 0 <= col < self.width):
             raise IndexError(f"cell ({row}, {col}) outside {self.height}x{self.width} grid")
-        return row * self.width + col
+        return int(row) * self.width + int(col)
 
     def rowcol(self, region: int) -> tuple[int, int]:
         return divmod(_checked(self.n, region), self.width)
@@ -628,7 +664,7 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     packed[ids, ids >> 3] = (1 << (ids & 7)).astype(np.uint8)
     stats = _add_visible_pairs(env, packed)
     packed.setflags(write=False)
-    field = ExposureField.from_packed(packed, n, validate=False)
+    field = ExposureField._of_matrix(packed, n)
     field.build_stats = stats
     return field
 
@@ -802,7 +838,10 @@ class ExposureField:
     """Symmetric, reflexive visibility relation over n regions.
 
     Row i is an int bitset of every region sharing line of sight with i,
-    including i itself. Exposure scores therefore live in [1/n, 1].
+    including i itself. Exposure scores therefore live in [1/n, 1]. Every
+    field a caller builds is checked. ExposureField(rows) requires each row
+    to be an int or numpy integer (_int), non-negative with no bit at or past
+    n, then runs validate(); from_packed runs validate's _check_packed.
 
     The int rows are the storage the planners read. The one derived view is
     the packed (n, ceil(n/8)) uint8 matrix of to_packed(), read-only, taken
@@ -816,18 +855,25 @@ class ExposureField:
 
     __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_packed")
 
-    def __init__(self, rows: Sequence[int], validate: bool = False):
+    def __init__(self, rows: Sequence[int]):
+        for k, r in enumerate(rows):
+            if not _int(r) or r < 0:
+                raise ValueError(f"exposure row {k} must be a non-negative integer, got {r!r}")
+        # plain ints, never numpy integers: rows must not overflow at n > 63
+        self._set_rows(tuple(int(r) for r in rows), None)
+        if any(r >> self.n for r in self.rows):
+            raise ValueError("exposure row has bits beyond the region count")
+        self.validate()
+
+    def _set_rows(self, rows: tuple[int, ...], packed) -> None:
         self.n = len(rows)
         if self.n == 0:
             raise ValueError("exposure field needs at least one region")
-        # plain ints, never numpy integers: rows must not overflow at n > 63
-        self.rows = tuple(int(r) for r in rows)
-        self._counts = tuple(r.bit_count() for r in self.rows)
+        self.rows = rows
+        self._counts = tuple(r.bit_count() for r in rows)
         self._scores = None
-        self._packed = None
+        self._packed = packed
         self.build_stats = None
-        if validate:
-            self.validate()
 
     def exposure_set(self, region: int) -> int:
         """Bitset of regions visible from `region` (reflexive)."""
@@ -858,7 +904,7 @@ class ExposureField:
 
     def to_packed(self) -> np.ndarray:
         """Rows as a read-only (n, ceil(n/8)) uint8 matrix, little-endian bit
-        order. Raises OverflowError for a row with bits past its last byte."""
+        order."""
         if self._packed is None:
             nbytes = (self.n + 7) // 8
             raw = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
@@ -866,33 +912,32 @@ class ExposureField:
         return self._packed
 
     @classmethod
-    def from_packed(cls, packed: np.ndarray, n: int, validate: bool = True) -> "ExposureField":
-        """Field from a to_packed() matrix, checked as packed when `validate`.
-        Its shape must be (n, ceil(n/8)) and its dtype uint8 either way. The
-        matrix becomes the field's packed view; a writable one is copied
-        first, so later writes by the caller cannot reach the field."""
+    def from_packed(cls, packed: np.ndarray, n: int) -> "ExposureField":
+        """Field from a uint8 (n, ceil(n/8)) to_packed() matrix, checked."""
         if packed.shape != (n, (n + 7) // 8) or packed.dtype != np.uint8:
             raise ValueError(f"packed matrix is {packed.dtype} {packed.shape}, "
                              f"expected uint8 ({n}, {(n + 7) // 8})")
-        if validate:
-            _check_packed(packed, n)
+        _check_packed(packed, n)
+        return cls._of_matrix(packed, n)
+
+    @classmethod
+    def _of_matrix(cls, packed: np.ndarray, n: int) -> "ExposureField":
+        """from_packed unchecked, for a matrix known valid. It becomes the
+        field's packed view, copied first if writable, so later writes by
+        the caller cannot reach the field."""
         raw, width = packed.tobytes(), packed.shape[1]
-        field = cls([int.from_bytes(raw[i:i + width], "little")
-                     for i in range(0, n * width, width)])
         if packed.flags.writeable:
             packed = packed.copy()
             packed.setflags(write=False)
-        field._packed = packed
+        field = cls.__new__(cls)
+        field._set_rows(tuple(int.from_bytes(raw[i:i + width], "little")
+                              for i in range(0, n * width, width)), packed)
         return field
 
     def validate(self) -> None:
         """Raise ValueError unless the field is reflexive, symmetric and has
         no bits beyond region n - 1 (see _check_packed)."""
-        try:
-            packed = self.to_packed()
-        except OverflowError:  # a row with bits past its last packed byte
-            raise ValueError("exposure row has bits beyond the region count") from None
-        _check_packed(packed, self.n)
+        _check_packed(self.to_packed(), self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExposureField) and self.rows == other.rows

@@ -24,8 +24,7 @@ def reference_corridor(field, exposed):
 def random_field(rng, n, density):
     sees = rng.random((n, n)) < density
     sees = sees | sees.T | np.eye(n, dtype=bool)
-    return ExposureField([mask_from_indices(np.flatnonzero(row)) for row in sees],
-                         validate=True)
+    return ExposureField([mask_from_indices(np.flatnonzero(row)) for row in sees])
 
 
 def random_c_walk(env, mask, start, rng, steps=40):
@@ -205,7 +204,7 @@ def test_corridor_membership_rule_random_fields(seed):
     mat = (sym + sym.T + np.eye(n, dtype=int)).astype(bool)
     from stealthpath import ExposureField
     rows = [mask_from_indices(np.flatnonzero(mat[i])) for i in range(n)]
-    field = ExposureField(rows, validate=True)
+    field = ExposureField(rows)
     k = mask_from_indices(int(v) for v in rng.choice(n, max(1, n // 2), replace=False))
     c = corridor(field, k)
     for i in bit_indices(c):

@@ -1,7 +1,7 @@
 """One rule per parameter, stated in the module whose code reads the value
-(search._check_p, _check_tau, _check_budget and _integer;
-terrain._check_cell_size, _check_d and _check_max_step; bench._check_size),
-applied at every entry point that takes the parameter.
+(search._check_p and _check_m; terrain._integer, _check_cell_size, _check_d
+and _check_max_step; bench._check_size), applied at every entry point that
+takes the parameter.
 
 Each rule takes a number, never a bool or a string, and returns it in the
 type its code needs: an int for a count, size or seed (a whole float such as
@@ -15,12 +15,13 @@ import re
 import numpy as np
 import pytest
 
-from stealthpath import (ExperimentConfig, GridEnvironment, build_environment, gen_boxes,
-                         gen_hills, generate_map, obj_acc, path_counts, plan, plan_exact,
-                         plan_saturation, run_experiment)
+from stealthpath import (ExperimentConfig, GridEnvironment, build_environment,
+                         compute_exposure_field, gen_boxes, gen_hills, generate_map, obj_acc,
+                         path_counts, plan, plan_binary, plan_exact, plan_saturation,
+                         run_experiment)
 from stealthpath.bench import ConfigError
 from stealthpath.mapio import format_heightmap
-from stealthpath.search import saturation_step_cost, score_path
+from stealthpath.search import binary_step_cost, saturation_step_cost, score_path
 
 
 def values(k):
@@ -31,7 +32,8 @@ def values(k):
 
 
 # parameter -> (k, the values the rule accepts, the name a rejection gives,
-# the config field and key, the type the config stores)
+# the config field and key, the type the config stores); m and connectivity
+# are no config keys
 PARAMETERS = {
     "p_success": (0, {"half"}, "p_success", "p_success", "p_success", float),
     "tau": (2, {"np.int64", "float"}, "tau", "taus", "taus", int),
@@ -46,8 +48,15 @@ PARAMETERS = {
     "queries": (1, {"np.int64", "float"}, "queries", "queries", "queries", int),
     "query_seed": (1, {"np.int64", "float"}, "query_seed", "query_seed", "query_seed", int),
     "workers": (1, {"np.int64", "float"}, "workers", "workers", "workers", int),
+    # on a one-region world, where m is in (0, 1)
+    "m": (0, {"half"}, "m", None, None, float),
+    "connectivity": (4, {"np.int64", "float"}, "connectivity", None, None, int),
 }
 VALUES = sorted(values(0))
+CONFIG_PARAMETERS = [param for param, row in PARAMETERS.items() if row[3] is not None]
+
+# (parameter, entry) -> the value that means its default there, accepted
+DEFAULTS = {("m", "plan"): "None", ("m", "plan_binary"): "None"}
 
 
 def entry_points(param, env, field):
@@ -95,8 +104,28 @@ def entry_points(param, env, field):
             "generate_map-boxes": lambda v: generate_map("boxes", 1, v),
             "generate_map-hills": lambda v: generate_map("hills", 1, v),
         },
+        "seeds": {
+            "gen_boxes": lambda v: gen_boxes(v, 10),
+            "gen_hills": lambda v: gen_hills(v, 10),
+            "generate_map-boxes": lambda v: generate_map("boxes", v, 10),
+            "generate_map-hills": lambda v: generate_map("hills", v, 10),
+        },
+        "m": {
+            "plan": lambda v: plan("binary", *one_region(), 0, 0, m=v),
+            "plan_binary": lambda v: plan_binary(*one_region(), 0, 0, v),
+            "binary_step_cost": lambda v: binary_step_cost(one_region()[1], 0, 0, v),
+        },
+        "connectivity": {
+            "build_environment": lambda v: build_environment(elev, connectivity=v),
+            "GridEnvironment": lambda v: GridEnvironment(elev, connectivity=v),
+        },
     }
     return table.get(param, {})
+
+
+def one_region():
+    env = GridEnvironment([[0.0]])
+    return env, compute_exposure_field(env)
 
 
 ENTRIES = [(param, name) for param in PARAMETERS
@@ -123,7 +152,7 @@ def test_entry_points_give_one_verdict(flat5, param, entry, value):
     k, accepted, named, _, _, _ = PARAMETERS[param]
     call = entry_points(param, *flat5)[entry]
     v = values(k)[value]
-    if value in accepted:
+    if value in accepted or DEFAULTS.get((param, entry)) == value:
         call(v)
     else:
         with pytest.raises(ValueError, match=rf"^{re.escape(named)} must "):
@@ -131,7 +160,7 @@ def test_entry_points_give_one_verdict(flat5, param, entry, value):
 
 
 @pytest.mark.parametrize("value", VALUES)
-@pytest.mark.parametrize("param", PARAMETERS)
+@pytest.mark.parametrize("param", CONFIG_PARAMETERS)
 def test_the_config_gives_the_same_verdict(param, value):
     k, accepted, _, name, key, kind = PARAMETERS[param]
     v = values(k)[value]
@@ -146,3 +175,20 @@ def test_the_config_gives_the_same_verdict(param, value):
     # the value as stored runs: one 10x10 map, one query, every cell done
     records = run_experiment(cfg)
     assert records and all(rec["status"] != "error" for rec in records)
+
+
+@pytest.mark.parametrize("value", ["np.int64", "float"])
+def test_connectivity_is_stored_as_an_int(value):
+    env = GridEnvironment(np.zeros((2, 2)), connectivity=values(8)[value])
+    assert type(env.connectivity) is int and env.connectivity == 8
+
+
+def test_m_is_read_as_a_float():
+    env, field = one_region()
+    assert type(plan_binary(env, field, 0, 0, np.float32(0.5)).params["m"]) is float
+    assert binary_step_cost(field, 0, 0, np.float32(0.25)) == 1.25
+
+
+def test_an_int_seed_draws_the_same_map():
+    assert np.array_equal(gen_boxes(np.int64(3), 12), gen_boxes(3, 12))
+    assert np.array_equal(gen_hills(3.0, 12), gen_hills(3, 12))

@@ -3,7 +3,8 @@ terrain.path_ids for a path), applied at every entry point that takes one.
 
 A region is an int or a numpy integer, never a bool or a float, in [0, n).
 Callers' entry points raise ValueError naming the position they reject; the
-accessors raise IndexError out of range, as a sequence does."""
+accessors raise IndexError out of range, as a sequence does. A grid cell's
+row and col (GridEnvironment.index) take the same types."""
 
 import re
 
@@ -125,6 +126,30 @@ def test_numpy_integers_are_regions(flat5, entry):
     want = call(1)
     for kind in (np.int64, np.int32, np.uint8):
         assert call(kind(1)) == want
+
+
+@pytest.mark.parametrize("bad", BAD, ids=repr)
+@pytest.mark.parametrize("position", ["row", "col"])
+def test_grid_index_checks_its_integers(flat5, position, bad):
+    # a cell's row and col: the region rule's types, IndexError off the grid
+    env, _ = flat5
+    bad = env.height if isinstance(bad, str) else bad
+    cell = {"row": 2, "col": 3, position: bad}
+    if isinstance(bad, bool) or not isinstance(bad, int):
+        error = pytest.raises(ValueError,
+                              match=re.escape(f"{position} must be an integer, got {bad!r}"))
+    else:
+        error = pytest.raises(IndexError, match=re.escape(
+            f"cell ({cell['row']}, {cell['col']}) outside 5x5 grid"))
+    with error:
+        env.index(**cell)
+
+
+def test_grid_index_is_a_python_int(flat5):
+    env, _ = flat5
+    for kind in (int, np.int64, np.int32, np.uint8):
+        region = env.index(kind(2), kind(3))
+        assert region == 13 and type(region) is int
 
 
 def test_an_empty_path_is_rejected(flat5):

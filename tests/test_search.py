@@ -240,8 +240,7 @@ def random_field(rng, n, density):
     """Random reflexive, symmetric field over n regions."""
     sees = rng.random((n, n)) < density
     sees = sees | sees.T | np.eye(n, dtype=bool)
-    return ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees],
-                         validate=True)
+    return ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees])
 
 
 def random_world(seed, shape=(5, 5), max_step=1.0):
@@ -548,8 +547,7 @@ class TestSaturationMatchesCountArrayOracle:
         graph = ExplicitGraph(n, edges, points=points)
         sees = rng.random((n, n)) < 0.2
         sees = sees | sees.T | np.eye(n, dtype=bool)
-        field = ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees],
-                              validate=True)
+        field = ExposureField([sum(1 << int(j) for j in np.flatnonzero(row)) for row in sees])
         queries = random_queries(graph, 12, tau) + [(0, n - 1), (n - 1, 3)]
         assert_matches_oracle(graph, field, queries, tau, p_success=0.9)
 

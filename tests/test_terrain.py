@@ -476,7 +476,7 @@ class TestExposureField:
     def test_validate_rejects_asymmetry(self):
         rows = [0b011, 0b010, 0b101]  # region 2 claims to see 0, 0 disagrees
         with pytest.raises(ValueError, match="symmetric"):
-            ExposureField(rows, validate=True)
+            ExposureField(rows)
 
     def test_validate_rejects_asymmetry_off_the_diagonal_block(self):
         block = _VALIDATE_ROWS
@@ -485,7 +485,7 @@ class TestExposureField:
         rows = [1 << i for i in range(n)]
         rows[b] |= 1 << a
         with pytest.raises(ValueError, match=rf"symmetric at pair \({a}, {b}\)"):
-            ExposureField(rows, validate=True)
+            ExposureField(rows)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_validate_names_first_asymmetric_pair(self, seed):
@@ -502,20 +502,20 @@ class TestExposureField:
         rows = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
                 for r in sees]
         with pytest.raises(ValueError, match=rf"pair \({bad[0][0]}, {bad[1][0]}\)"):
-            ExposureField(rows, validate=True)
+            ExposureField(rows)
 
     def test_validate_rejects_missing_self(self):
         with pytest.raises(ValueError, match="reflexive"):
-            ExposureField([0b01, 0b01], validate=True)
+            ExposureField([0b01, 0b01])
 
     def test_validate_rejects_stray_bits(self):
         with pytest.raises(ValueError, match="beyond"):
-            ExposureField([0b101, 0b010], validate=True)
+            ExposureField([0b101, 0b010])
 
     def test_validate_rejects_bits_past_the_packed_row(self):
         # bit 9 of a 2-region field does not fit its one-byte packed row
         with pytest.raises(ValueError, match="beyond"):
-            ExposureField([0b1 | 1 << 9, 0b10], validate=True)
+            ExposureField([0b1 | 1 << 9, 0b10])
 
     @pytest.mark.parametrize("rows", [
         [0b01, 0b01],  # region 1 does not see itself
@@ -526,19 +526,17 @@ class TestExposureField:
         # the cache loader's path: same check, message and first pair as validate
         packed = np.array([[r] for r in rows], dtype=np.uint8)
         with pytest.raises(ValueError) as direct:
-            ExposureField(rows, validate=True)
+            ExposureField(rows)
         with pytest.raises(ValueError, match=re.escape(str(direct.value))):
             ExposureField.from_packed(packed, len(rows))
-        ExposureField.from_packed(packed, len(rows), validate=False)
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_from_packed_checks_the_matrix_shape(self, boxes12, validate):
+    def test_from_packed_checks_the_matrix_shape(self, boxes12):
         packed = boxes12[1].to_packed()
         n = len(packed)
         for matrix, count in ((packed, 5), (packed[:5], n), (packed[:, :-1], n),
                               (packed[0], n), (packed.astype(np.int64), n)):
             with pytest.raises(ValueError, match=rf"expected uint8 \({count}, {(count + 7) // 8}\)"):
-                ExposureField.from_packed(matrix, count, validate=validate)
+                ExposureField.from_packed(matrix, count)
 
     def test_members_and_scores(self):
         field = ExposureField([0b011, 0b111, 0b110])
