@@ -13,12 +13,14 @@ experiment harness alike:
   saturation threshold tau, priced in -log10 survival-probability units.
   Its nodes keep the clamped counts as bit-sliced saturating counters on int
   bitsets, bit_length(tau) + 1 ints of n bits each, so a step's price is a
-  popcount.
+  popcount. A saturated region's slices are unspecified: nothing reads them.
 * plan_exact: best-first search over (region, exposed set) nodes. Optimal
   for the binary objective but exponential; takes an expansion budget.
 
-binary_step_cost and saturation_step_cost price a step with their planner's
-own rule (_binary_delta, _saturation_delta); score_path scores any path.
+Each step rule is one statement, in its planner's expand loop:
+_binary_expand and _saturation_expand. binary_step_cost and
+saturation_step_cost price a step by running that same expand for the one
+step (_one_step); score_path scores any path.
 
 The binary and saturation planners keep one best node per region (a standard
 A* closed list). That is deliberately Markovian: the accumulator carried by
@@ -29,12 +31,16 @@ All ties are broken on (f, h, region, insertion order), so identical queries
 return identical paths.
 
 All five planners run one pop loop, _best_first. A heap row is a whole
-node, (f, h, region, seq, parent_seq, g); only expanded nodes are kept, in
-closed: seq -> (region, parent_seq, state). A node's state (exposed set,
-saturation counters, or none) is built from its parent's when it is
-expanded, by the planner's expand closure, which also pushes neighbours:
-the other four push one whose g beats its region's best, and plan_exact
-each (region, exposed set) key it has not pushed before.
+node, (f, h, region, seq, parent_seq, g, parent_state): the 7th element is
+the state of the node that pushed the row, and seq, unique, keeps every
+comparison from reaching it. Only expanded nodes are kept, in closed:
+seq -> (region, parent_seq), for path recovery. A node's state (exposed
+set, saturation counters, or None) is built from its row's parent_state
+when it is expanded, by the planner's expand closure, which also pushes
+neighbours, each row carrying that state: the other four push one whose g
+beats its region's best, and plan_exact each (region, exposed set) key it
+has not pushed before. So a state lives while a row it rides in is queued,
+and is freed once the last of them is popped.
 
 binary and saturation skip a neighbour before pricing it when the step
 cannot beat its region's best g: binary when gg + m >= best_g[nb], and
@@ -55,7 +61,9 @@ float such as 5.0 as the int 5).
 Inner loops then read field.rows, env.adjacency and heuristic lists built
 once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
 saturation), with no per-neighbour range check; shortest and ess share one
-A*, _fixed_cost_astar. Set differences use positive ints only: x ^ (x & y)
+A*, _fixed_cost_astar, ess's step costs the field's scores as floats, built
+once per field. heapq's functions are looked up once per planner call, never
+at import. Set differences use positive ints only: x ^ (x & y)
 for x & ~y, and |x| - |x & y| for its size, the same integers. ~y is
 negative, and x & ~y takes CPython's two's-complement path: about 290 ns
 against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon, Python 3.11).
@@ -204,13 +212,14 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     """
     s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
-    return _result("ess", {}, s, g, t0, *_fixed_cost_astar(
-        env, s, g, field.scores().tolist(), (env.manhattan3_to(g) * field.min_score()).tolist()))
+    hs = (env.manhattan3_to(g) * field.min_score()).tolist()
+    return _result("ess", {}, s, g, t0,
+                   *_fixed_cost_astar(env, s, g, field._scores_as_floats(), hs))
 
 
 def _fixed_cost_astar(env, s, g, costs, hs):
     """_best_first where entering nb costs costs[nb] and hs[nb] is its h."""
-    adj = env.adjacency
+    adj, push = env.adjacency, heapq.heappush
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         for nb in adj[region]:
@@ -218,7 +227,7 @@ def _fixed_cost_astar(env, s, g, costs, hs):
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]
-                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
+                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, None))
 
     return _best_first(env.n, s, g, hs[s], None, expand)
 
@@ -226,17 +235,17 @@ def _fixed_cost_astar(env, s, g, costs, hs):
 def _best_first(n, s, g, h0, state0, expand, budget=-1):
     """The pop loop of every planner; the module docstring gives its heap
     rows and closed map. Returns (status, path, cost, expansions, stats).
-    closed[-1] holds state0, the state before the start, and a row popped
-    with g above its region's best g is stale.
+    The start's row carries state0, the state before the start, and a row
+    popped with g above its region's best g is stale.
 
     expand(region, seq, g, parent_state, heap, best_g, counter) runs once per
-    expanded node but the goal. It builds the node's state from parent_state
-    and returns it. It pushes each neighbour nb as (g + h, h, nb,
-    next(counter), seq, g) itself, setting best_g[nb] if it keys on regions,
-    so no call is made per push. The start is seq 0; counter goes on from 1.
-    binary's and saturation's expand read best_g[nb] first and skip, before
-    pricing, a step that cannot beat it; the module docstring shows that
-    this is exact.
+    expanded node but the goal. It builds the node's state from parent_state,
+    the state its row carries, and pushes each neighbour nb as (g + h, h, nb,
+    next(counter), seq, g, state) itself, setting best_g[nb] if it keys on
+    regions, so no call is made per push. The start is seq 0; counter goes
+    on from 1. binary's and saturation's expand read best_g[nb] first and
+    skip, before pricing, a step that cannot beat it; the module docstring
+    shows that this is exact.
 
     The goal's pop counts as an expansion. Past budget expansions the next
     pop ends the search: found if it is the goal, else budget_exceeded. The
@@ -247,21 +256,22 @@ def _best_first(n, s, g, h0, state0, expand, budget=-1):
     len(heap) test per expansion for the peak frontier: nothing is counted
     per push or per pop.
     """
-    heap = [(h0, h0, s, 0, -1, 0.0)]
+    pop = heapq.heappop
+    heap = [(h0, h0, s, 0, -1, 0.0, state0)]
     best_g = [math.inf] * n
     best_g[s] = 0.0
     counter = itertools.count(1)
-    closed = {-1: (None, None, state0)}
+    closed = {}
     expansions = 0
     peak = 1
     while heap:
-        _, _, region, seq, parent, gg = heapq.heappop(heap)
+        _, _, region, seq, parent, gg, state = pop(heap)
         if gg > best_g[region]:
             continue
         if region == g:
             path = [region]
             while parent >= 0:
-                region, parent, _ = closed[parent]
+                region, parent = closed[parent]
                 path.append(region)
             expansions += 1
             return (FOUND, path[::-1], gg, expansions,
@@ -270,8 +280,8 @@ def _best_first(n, s, g, h0, state0, expand, budget=-1):
             return (BUDGET_EXCEEDED, None, None, expansions,
                     _search_stats(counter, heap, expansions, 1, closed, peak))
         expansions += 1
-        state = expand(region, seq, gg, closed[parent][2], heap, best_g, counter)
-        closed[seq] = (region, parent, state)
+        expand(region, seq, gg, state, heap, best_g, counter)
+        closed[seq] = (region, parent)
         if len(heap) > peak:
             peak = len(heap)
     return (NO_PATH, None, None, expansions,
@@ -284,7 +294,20 @@ def _search_stats(counter, heap, expansions, held, closed, peak) -> SearchStats:
     them) and held, the one row a budget stop pops."""
     pushes = next(counter) - 1
     return SearchStats(pushes, pushes + 1 - len(heap) - expansions - held, peak,
-                       len(closed) - 1)
+                       len(closed))
+
+
+def _one_step(field, dest, state, make_expand, *params):
+    """The price of a step into dest from a node whose state is state, as
+    the planner of make_expand(rows, counts, adj, *params) prices it. Its
+    expand runs once, at g 0, for a virtual region n whose row is 0 and
+    whose one neighbour is dest, so its state is state again; the one row
+    it pushes holds the price as its g."""
+    dest, n = region_id(field.n, dest, "dest region"), field.n
+    expand = make_expand(field.rows + (0,), field._counts, {n: (dest,)}, *params)
+    heap = []
+    expand(n, 0, 0.0, state, heap, {dest: math.inf}, itertools.count())
+    return heap[0][5]
 
 
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
@@ -300,36 +323,37 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
     m = _check_m(1.0 / (2 * env.n) if m is None else m, env.n)
     params = {"m": m}
     t0 = time.perf_counter()
+    rows, goal_set = field.rows, field.rows[g]
+    expand = _binary_expand(rows, field._counts, env.adjacency, goal_set, m)
+    h0 = float((goal_set ^ (goal_set & rows[s])).bit_count())
+    return _result("binary", params, s, g, t0, *_best_first(env.n, s, g, h0, 0, expand))
 
-    rows, counts, adj = field.rows, field._counts, env.adjacency
-    goal_set = rows[g]
+
+def _binary_expand(rows, counts, adj, goal_set, m):
+    """plan_binary's expand. A node's state is its accumulator, the union of
+    the rows its path occupies. Its one step rule: a step into nb costs
+    counts[nb] - (rows[nb] & acc).bit_count(), the regions it newly exposes
+    (counts[nb] is the size of rows[nb]), plus m."""
+    push = heapq.heappush
 
     def expand(region, seq, gg, acc, heap, best_g, counter):
         acc |= rows[region]
         # goal regions the accumulator has not exposed yet
         left = goal_set ^ (goal_set & acc)
-        nleft = left.bit_count()
+        nleft = float(left.bit_count())
         # every step costs at least m: skip, unpriced, a neighbour whose
         # best g the step cannot beat (module docstring)
         floor = gg + m
         for nb in adj[region]:
             if floor >= best_g[nb]:
                 continue
-            ng = gg + _binary_delta(rows, counts, acc, nb) + m
+            ng = gg + (counts[nb] - (rows[nb] & acc).bit_count()) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = float(nleft - (left & rows[nb]).bit_count())
-                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
-        return acc
+                hn = nleft - (left & rows[nb]).bit_count()
+                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
 
-    h0 = float((goal_set ^ (goal_set & rows[s])).bit_count())
-    return _result("binary", params, s, g, t0, *_best_first(env.n, s, g, h0, 0, expand))
-
-
-def _binary_delta(rows, counts, acc: int, dest: int) -> int:
-    """Growth of the exposed set for a step into dest: |E(dest)| minus the
-    part acc already holds. counts[dest] is the size of rows[dest]."""
-    return counts[dest] - (rows[dest] & acc).bit_count()
+    return expand
 
 
 def plan_saturation(env, field, s: int, g: int, tau: int,
@@ -344,97 +368,97 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     so the two planners can still return different paths.
 
     A node's clamped counts are bit-sliced saturating counters (see
-    _saturation_advance): tau.bit_length() + 1 ints of n bits per expanded
-    node, where a count array would take n machine words.
+    _saturation_expand): tau.bit_length() + 1 ints of n bits per node with
+    queued children, where a count array would take n machine words.
     """
     s, g = _check_query(env, field, s, g)
     tau, p_success = _integer("tau", tau), _check_p(p_success)
     params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
-    unit = -math.log10(p_success)
-    rows, counts, adj = field.rows, field._counts, env.adjacency
     # h of every region, manhattan3(region, g) * tau * unit in that float
     # order, built once per query: a list read costs less than a method call
+    unit = -math.log10(p_success)
     hs = (env.manhattan3_to(g) * tau * unit).tolist()
+    expand = _saturation_expand(field.rows, field._counts, env.adjacency, hs, tau, unit)
+    empty = ([0] * tau.bit_length(), 0)
+    return _result("saturation", params, s, g, t0,
+                   *_best_first(env.n, s, g, hs[s], empty, expand))
+
+
+def _saturation_expand(rows, counts, adj, hs, tau, unit):
+    """plan_saturation's expand. A node's state is (slices, sat): sat holds
+    the regions whose clamped count min(c_i, tau) has reached tau, where c_i
+    counts the sightings of region i, and bit i of slices[k] is bit k of the
+    count of each region i outside sat. A region's slices are unspecified
+    once it is in sat: nothing reads them. "Regions below tau among a row"
+    is then row ^ (row & sat), and its size |row| - |row & sat|.
+
+    Expanding a node advances its parent's state by the step into region:
+    every unsaturated region it exposes gains one sighting, and region
+    itself saturates (fields are reflexive). Its one step rule: a step into
+    nb costs unit times the growth of sum(min(c, tau)), one per unsaturated
+    region it exposes, plus, when nb is unsaturated, the rest of nb's jump
+    from its count to tau."""
+    push = heapq.heappush
+    tau_bits = [tau >> k & 1 for k in range(tau.bit_length())]
+    top = tau - 1
 
     def expand(region, seq, gg, state, heap, best_g, counter):
-        state = _saturation_advance(rows, state, region, tau)
+        slices, sat = state
+        row = rows[region]
+        carry = reached = row ^ (row & sat)
+        out = []
+        for s, bit in zip(slices, tau_bits):
+            # ripple-carry add of one; an unsaturated count is below tau, so
+            # nothing carries out of the top slice
+            s, carry = s ^ carry, carry & s
+            # reached keeps the incremented regions whose new count equals tau
+            if bit:
+                reached &= s
+            else:
+                reached ^= reached & s
+            out.append(s)
+        sat |= reached | 1 << region
+        state = (out, sat)
         for nb in adj[region]:
             # a step costs at least 0: skip, unpriced, a neighbour whose
             # best g is already at most gg (module docstring)
             if gg >= best_g[nb]:
                 continue
-            ng = gg + _saturation_delta(rows, counts, state, nb, tau) * unit
+            # an unsaturated nb jumps from its count to tau, one sighting
+            # of which the rows' growth already counts
+            jump = 0
+            if not sat >> nb & 1:
+                jump = top
+                for k, s in enumerate(out):
+                    jump -= (s >> nb & 1) << k
+            ng = gg + (counts[nb] - (rows[nb] & sat).bit_count() + jump) * unit
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]
-                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
-        return state
+                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, state))
 
-    empty = ((0,) * tau.bit_length(), 0)
-    return _result("saturation", params, s, g, t0,
-                   *_best_first(env.n, s, g, hs[s], empty, expand))
-
-
-# A saturation state is (slices, sat). Bit i of slices[k] is bit k of
-# min(c_i, tau), where c_i counts the sightings of region i; sat holds the
-# regions whose clamped count has reached tau. "Regions below tau among a
-# row" is then row ^ (row & sat), and its size |row| - |row & sat|.
-
-def _saturation_advance(rows, state, region: int, tau: int):
-    """State after a step into region: every unsaturated region it exposes
-    gains one sighting, and region itself saturates (fields are reflexive)."""
-    slices, sat = state
-    row = rows[region]
-    carry = reached = row ^ (row & sat)
-    bit = 1 << region
-    out = []
-    for k, s in enumerate(slices):
-        # ripple-carry add of one; an unsaturated count is below tau, so
-        # nothing carries out of the top slice
-        s, carry = s ^ carry, carry & s
-        # reached keeps the incremented regions whose new count equals tau
-        if tau >> k & 1:
-            reached &= s
-            out.append(s | bit)
-        else:
-            reached ^= reached & s
-            out.append(s ^ (s & bit))
-    return tuple(out), sat | reached | bit
-
-
-def _saturation_delta(rows, counts, state, dest: int, tau: int) -> int:
-    """Growth of sum(min(c, tau)) for a step into dest: +1 per unsaturated
-    region it exposes, and dest itself jumps straight to tau. counts[dest]
-    is the size of rows[dest]."""
-    slices, sat = state
-    below = counts[dest] - (rows[dest] & sat).bit_count()
-    if sat >> dest & 1:
-        return below
-    c = 0
-    for k, s in enumerate(slices):
-        c |= (s >> dest & 1) << k
-    return below - 1 + tau - c
+    return expand
 
 
 def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
                          p_success: float) -> float:
     """Cost plan_saturation assigns to stepping into dest from a node whose
     accumulated counts are given. Exposed here for transition-level tests;
-    it prices the step with the planner's own rule."""
+    it runs the planner's own expand for the one step (_one_step)."""
     tau, p_success = _integer("tau", tau), _check_p(p_success)
     clamped = np.minimum(np.asarray(counts), tau)
-    slices = tuple(mask_from_indices(np.flatnonzero(clamped >> k & 1))
-                   for k in range(tau.bit_length()))
+    slices = [mask_from_indices(np.flatnonzero(clamped >> k & 1))
+              for k in range(tau.bit_length())]
     state = (slices, mask_from_indices(np.flatnonzero(clamped == tau)))
-    delta = _saturation_delta(field.rows, field._counts, state, dest, tau)
-    return delta * -math.log10(p_success)
+    return _one_step(field, dest, state, _saturation_expand, [0.0] * (field.n + 1), tau,
+                     -math.log10(p_success))
 
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
-    """Cost plan_binary assigns to the same transition, for the tau = 1 link."""
-    m = _check_m(m, field.n)
-    return float(_binary_delta(field.rows, field._counts, accumulator, dest)) + m
+    """Cost plan_binary assigns to the same transition, for the tau = 1 link;
+    it runs the planner's own expand for the one step (_one_step)."""
+    return _one_step(field, dest, accumulator, _binary_expand, 0, _check_m(m, field.n))
 
 
 def plan_exact(env, field, s: int, g: int,
@@ -462,7 +486,7 @@ def plan_exact(env, field, s: int, g: int,
     params = {"node_budget": node_budget}
     t0 = time.perf_counter()
 
-    rows, adj = field.rows, env.adjacency
+    rows, adj, push = field.rows, env.adjacency, heapq.heappush
     goal_set, base = rows[g], field._counts[s]
     seen = {(s, rows[s])}
 
@@ -474,8 +498,7 @@ def plan_exact(env, field, s: int, g: int,
                 seen.add(key)
                 ng = key[1].bit_count() - base
                 hn = (goal_set ^ (goal_set & key[1])).bit_count()
-                heapq.heappush(heap, (ng + hn, hn, nb, next(counter), seq, ng))
-        return acc
+                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
 
     h0 = (goal_set ^ (goal_set & rows[s])).bit_count()
     status, walk, cost, n, stats = _best_first(env.n, s, g, h0, 0, expand, node_budget)

@@ -25,11 +25,13 @@ Every region a caller hands in, here or to any other module, is checked by
 one rule, region_id (path_ids for a path). The grid's parameters have one
 rule each, _check_cell_size, _check_d and _check_max_step, which take a
 number (_real: never a bool or a string) and return it as a float;
-connectivity passes the integer rule, _integer. The two data objects that
-cross the library boundary have one rule each, applied wherever a caller
-makes, reads or writes one: _check_elevations for a heightmap grid (a
-non-empty 2D grid of finite numbers) and ExposureField.validate for an
-exposure relation (reflexive, symmetric, no bit past n).
+connectivity passes the integer rule, _integer. d and the elevations are
+at most 1e150 in magnitude, so no height or distance overflows. The two
+data objects that cross the library boundary have one rule each, applied
+wherever a caller makes, reads or writes one: _check_elevations for a
+heightmap grid (a non-empty 2D grid of finite numbers) and
+ExposureField.validate for an exposure relation (reflexive, symmetric, no
+bit past n).
 """
 
 from __future__ import annotations
@@ -111,7 +113,10 @@ def _integer(name: str, value, least: int = 1) -> int:
 
 def _check_elevations(elevations) -> np.ndarray:
     """The grid rule, for a GridEnvironment and every heightmap file read or
-    written: a non-empty 2D grid of finite numbers, as a new float64 array."""
+    written: a non-empty 2D grid of finite numbers of magnitude at most 1e150,
+    as a new float64 array. With d's bound (_check_d), every point height,
+    ray height and manhattan3, sums of a few such values, stays far below
+    the float maximum of 1.8e308."""
     try:  # a ragged grid, or an element float() rejects
         grid = np.asarray(elevations)
         elev = np.array(grid, dtype=np.float64) if grid.dtype.kind in "iufO" else np.empty(0)
@@ -119,8 +124,8 @@ def _check_elevations(elevations) -> np.ndarray:
         raise ValueError(f"elevations must be a non-empty 2D grid of numbers ({exc})") from None
     if elev.ndim != 2 or elev.size == 0:  # also a grid of bools, strings or complex numbers
         raise ValueError("elevations must be a non-empty 2D grid of numbers")
-    if not np.isfinite(elev).all():
-        raise ValueError("elevations must be finite")
+    if not (np.abs(elev) <= 1e150).all():  # also false for nan
+        raise ValueError("elevations must be finite, at most 1e150 in magnitude")
     return elev
 
 
@@ -133,8 +138,11 @@ def _check_cell_size(cell_size) -> float:
 
 
 def _check_d(d) -> float:
-    if not (_real(d) and 0 <= d < math.inf):
-        raise ValueError(f"sensor offset d must be non-negative and finite, got {d!r}")
+    """The sensor-offset rule: a number in [0, 1e150], bounded as the
+    elevations are (_check_elevations)."""
+    if not (_real(d) and 0 <= d <= 1e150):
+        raise ValueError(f"sensor offset d must be non-negative and finite, at most 1e150, "
+                         f"got {d!r}")
     return float(d)
 
 
@@ -853,7 +861,7 @@ class ExposureField:
     ignore it.
     """
 
-    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_packed")
+    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_score_floats", "_packed")
 
     def __init__(self, rows: Sequence[int]):
         for k, r in enumerate(rows):
@@ -871,7 +879,7 @@ class ExposureField:
             raise ValueError("exposure field needs at least one region")
         self.rows = rows
         self._counts = tuple(r.bit_count() for r in rows)
-        self._scores = None
+        self._scores = self._score_floats = None
         self._packed = packed
         self.build_stats = None
 
@@ -892,6 +900,12 @@ class ExposureField:
             arr.setflags(write=False)
             self._scores = arr
         return self._scores
+
+    def _scores_as_floats(self) -> tuple[float, ...]:
+        """scores() as Python floats, built once: plan_ess's step costs."""
+        if self._score_floats is None:
+            self._score_floats = tuple(self.scores().tolist())
+        return self._score_floats
 
     def min_score(self) -> float:
         return float(self.scores().min())

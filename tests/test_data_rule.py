@@ -2,7 +2,8 @@
 applied wherever a caller makes, reads or writes one.
 
 A heightmap grid passes terrain._check_elevations: a non-empty 2D grid of
-finite numbers (never bools, strings or complex numbers). GridEnvironment,
+finite numbers (never bools, strings or complex numbers) of magnitude at
+most 1e150. GridEnvironment,
 build_environment, format_heightmap, save_heightmap and parse_heightmap all
 apply it, so no writer produces a file its reader rejects.
 
@@ -22,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stealthpath import (ExposureField, GridEnvironment, build_environment,
-                         load_exposure_field, parse_heightmap, save_exposure_field,
-                         save_heightmap)
+                         compute_exposure_field, line_of_sight, load_exposure_field,
+                         parse_heightmap, save_exposure_field, save_heightmap)
 from stealthpath.mapio import EXPF_MAGIC, format_heightmap
 from stealthpath.terrain import _check_elevations
 
@@ -42,6 +43,10 @@ BAD_GRIDS = {
     "bool": ([[True, False]], "2 1 1.0\nTrue False\n", "2D grid of numbers|row 0"),
     "str": ([["1", "2"]], None, "2D grid of numbers"),
     "complex": (np.array([[1 + 2j]]), "1 1 1.0\n(1+2j)\n", "2D grid of numbers|row 0"),
+    # finite, but past the bound that keeps every height and distance finite
+    "huge": ([[1e308, 0.0]], "2 1 1.0\n1e+308 0.0\n", "finite, at most 1e150"),
+    "overflowing range": ([[1.7e308, -1.7e308, 0.0]], "3 1 1.0\n1.7e+308 -1.7e+308 0.0\n",
+                          "finite, at most 1e150"),
 }
 
 
@@ -85,6 +90,24 @@ def test_a_good_grid_is_a_new_float_array():
     env = GridEnvironment(source)
     source[0, 0] = 5.0
     assert env.elevations[0, 0] == 0.0
+
+
+def test_the_bounds_keep_heights_and_distances_finite():
+    """At the bounds of the grid rule and of d's rule, every point height,
+    manhattan3 and ray height is finite; past them, a ValueError names the
+    rule that failed."""
+    with pytest.raises(ValueError, match="elevations must be finite, at most 1e150"):
+        GridEnvironment([[1e308, 0.0]], d=1e308)
+    with pytest.raises(ValueError, match="elevations must be finite, at most 1e150"):
+        compute_exposure_field(GridEnvironment([[1.7e308, -1.7e308, 0.0]]))
+    with pytest.raises(ValueError, match="sensor offset d .* at most 1e150"):
+        GridEnvironment([[0.0, 1.0]], d=1e151)
+    env = GridEnvironment([[1e150, -1e150, 0.0], [-1e150, 1e150, 1e150]], d=1e150)
+    with np.errstate(all="raise"):
+        field = compute_exposure_field(env)
+        assert np.isfinite(env.points).all()
+        assert np.isfinite(env.manhattan3_to(1)).all()
+        assert line_of_sight(env, 1, 2) == bool(field.rows[1] >> 2 & 1)
 
 
 elements = st.one_of(st.floats(allow_nan=True, allow_infinity=True, width=64), st.none(),

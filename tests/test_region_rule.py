@@ -16,7 +16,7 @@ from stealthpath import (ALGORITHMS, ExplicitGraph, brute_force_min_exposure,
                          traversable, validate_path)
 from stealthpath.corridor import exposed_set
 from stealthpath.render import compose, exposure_image, overlay_path
-from stealthpath.search import score_path
+from stealthpath.search import binary_step_cost, saturation_step_cost, score_path
 
 BAD = [True, np.bool_(True), 1.0, 1.5, None, -1, "n"]  # "n": the region count
 
@@ -54,6 +54,10 @@ def caller_entries(env, field):
         "traversable-to": (lambda r: traversable(env, 0, r), "to region"),
         "ExplicitGraph-edge": (lambda r: ExplicitGraph(env.n, [(0, 5), (0, r)]).adjacency,
                                "edges[1][1]"),
+        "binary_step_cost": (lambda r: binary_step_cost(field, 1, r, 0.01), "dest region"),
+        "saturation_step_cost": (
+            lambda r: saturation_step_cost(field, np.ones(env.n, int), r, 2, 0.9),
+            "dest region"),
     })
     return entries
 

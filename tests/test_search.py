@@ -486,6 +486,30 @@ class TestPlanSaturation:
         expect = obj_acc(path_counts(field, res.path, tau), p, tau) - obj_acc(root, p, tau)
         assert res.cost == pytest.approx(expect, rel=1e-10)
 
+    @pytest.mark.parametrize("tau", [2, 5, 25])
+    @pytest.mark.parametrize("world", ["boxes12", "hills20", "graph_past_one_word"])
+    def test_cost_is_its_step_costs_summed(self, world, tau, request):
+        """saturation_step_cost from the counts of each prefix (path_counts),
+        summed in path order, is the planner's cost to the bit. Past tau = 1
+        a saturated region's counters are unspecified, and the step rule
+        reads only those of unsaturated regions."""
+        if world == "graph_past_one_word":
+            env, field = graph_past_one_word(4, True)
+        else:
+            env, field = request.getfixturevalue(world)
+        steps = 0
+        for s, g in random_queries(env, 10, 11) + [(0, env.n - 1)]:
+            res = plan_saturation(env, field, s, g, tau=tau)
+            if res.status != FOUND:
+                continue
+            total = 0.0
+            for k in range(1, len(res.path)):
+                counts = path_counts(field, res.path[:k], tau)
+                total += saturation_step_cost(field, counts, res.path[k], tau, 0.95)
+            assert total == res.cost, (s, g)
+            steps += len(res.path) - 1
+        assert steps >= 30
+
     def test_tau_one_matches_binary_pricing(self, boxes12):
         env, field = boxes12
         rng = np.random.default_rng(17)
