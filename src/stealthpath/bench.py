@@ -41,13 +41,13 @@ import numpy as np
 from .bitset import mask_from_indices
 from .corridor import build_corridor
 from .search import (ALGORITHMS, DEFAULT_NODE_BUDGET, DEFAULT_P_SUCCESS, FOUND,
-                     _check_p, _integer, obj_bin, plan, plan_shortest, score_path)
+                     _check_p, _check_tau, obj_bin, plan, plan_shortest, score_path)
 # Bound here though unused: perfbench/tracing.py wraps the planners and
 # objectives by name in this module as well as in search.
 from .search import (obj_acc, path_counts, plan_binary, plan_ess,  # noqa: F401
                      plan_exact, plan_saturation)
 from .terrain import (ExplicitGraph, ExposureField, _check_cell_size, _check_d,
-                      _check_max_step, build_environment, compute_exposure_field,
+                      _check_max_step, _integer, build_environment, compute_exposure_field,
                       region_id)
 
 DEFAULT_CELL_SIZE = 10.0
@@ -328,7 +328,7 @@ _KEY_RULES = {
     "sizes": lambda sizes: tuple(map(_check_size, sizes)),
     "seeds": lambda seeds: tuple(_integer("seed", seed, 0) for seed in seeds),
     "queries": lambda queries: _integer("queries", queries, 0),
-    "taus": lambda taus: tuple(_integer("tau", tau) for tau in taus),
+    "taus": lambda taus: tuple(map(_check_tau, taus)),
     "p_success": _check_p,
     "budget": lambda budget: _integer("node_budget", budget),
     "cell_size": _check_cell_size,

@@ -22,8 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bitset import bit_indices, mask_from_indices
 from .terrain import check_field_matches, path_ids
 
@@ -41,20 +39,11 @@ def _union(rows, ids: Sequence[int]) -> int:
 
 
 def corridor(field, exposed: int) -> int:
-    """Bitset of regions whose exposure sets fit inside the exposed set.
-
-    One vectorised test on the field's packed view: row i fits when no byte
-    of row & ~K is non-zero. Bits of `exposed` past the packed width cannot
-    meet any row and are dropped before K is packed.
-    """
+    """Bitset of regions whose exposure sets fit inside the exposed set,
+    tested by the field on its packed view (ExposureField._rows_within)."""
     if exposed == 0:
         raise ValueError("exposed set is empty")
-    packed = field.to_packed()
-    nbytes = packed.shape[1]
-    k = (exposed & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
-    outside = ~np.frombuffer(k, dtype=np.uint8)
-    fits = ~(packed & outside).any(axis=1)
-    return int.from_bytes(np.packbits(fits, bitorder="little").tobytes(), "little")
+    return field._rows_within(exposed)
 
 
 def average_width(corridor_mask: int, path: Sequence[int]) -> float:

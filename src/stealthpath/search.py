@@ -55,9 +55,12 @@ stale_pops, peak_frontier and closed. result_record leaves them out.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
 path_ids) on the way in, and each parameter its one rule: _check_p for
-p_success and _check_m for m here, terrain's integer rule _integer for tau
-and node_budget. A rule returns the value as the planners read it (a whole
-float such as 5.0 as the int 5).
+p_success, _check_m for m and _check_tau for tau here (terrain's integer
+rule _integer, bounded at 2**31 - 1 so no count or heuristic overflows), and
+_integer for node_budget. A rule returns the value as the planners read it
+(a whole float such as 5.0 as the int 5). path_counts reads the field's
+packed rows through terrain's _unpack, and the corridor's containment test
+is the field's own: no module but terrain states the bit layout.
 Inner loops then read field.rows, env.adjacency and heuristic lists built
 once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
 saturation), with no per-neighbour range check; shortest and ess share one
@@ -82,7 +85,7 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import exposed_set
-from .terrain import _integer, _real, check_field_matches, path_ids, region_id
+from .terrain import _bounded, _integer, _unpack, check_field_matches, path_ids, region_id
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -137,11 +140,9 @@ def path_counts(field, path: Sequence[int], tau: int) -> np.ndarray:
     there, except the occupied region itself which gains tau (occupancy
     saturates it outright).
     """
-    n = field.n
-    idx = np.asarray(path_ids(n, path), dtype=np.intp)
-    tau = _integer("tau", tau)
-    bits = np.unpackbits(field.to_packed()[idx], axis=1, count=n, bitorder="little")
-    counts = bits.sum(axis=0, dtype=np.int64)
+    idx = np.asarray(path_ids(field.n, path), dtype=np.intp)
+    tau = _check_tau(tau)
+    counts = _unpack(field.to_packed()[idx], field.n).sum(axis=0, dtype=np.int64)
     # add.at, not +=: a region the path occupies twice gains tau - 1 twice
     np.add.at(counts, idx, tau - 1)
     return counts
@@ -153,13 +154,15 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
     Sum over regions of -log10(max(p_success**c_i, p_success**tau)); the
     clamp caps what any single region can contribute at tau sightings.
     """
-    p_success, tau = _check_p(p_success), _integer("tau", tau)
+    p_success, tau = _check_p(p_success), _check_tau(tau)
     c = np.asarray(counts)
     if c.size and c.min() < 0:
         raise ValueError("counts must be non-negative")
-    with np.errstate(under="ignore"):
-        per_region = np.maximum(p_success ** c.astype(np.float64), p_success ** tau)
-        return float(-np.log10(per_region).sum())
+    with np.errstate(under="ignore", divide="ignore"):
+        logs = np.log10(np.maximum(p_success ** c.astype(np.float64), p_success ** tau))
+    # a term whose power underflows to 0 is min(c_i, tau) factors of p_success
+    logs = np.where(np.isinf(logs), np.minimum(c, tau) * math.log10(p_success), logs)
+    return float(-logs.sum())
 
 
 def validate_path(env, path: Sequence[int]) -> None:
@@ -180,17 +183,25 @@ def _check_query(env, field, s: int, g: int) -> tuple[int, int]:
 
 def _check_p(p_success) -> float:
     """The p_success rule: a number in (0, 1), returned as a float."""
-    if not (_real(p_success) and 0.0 < p_success < 1.0):
-        raise ValueError(f"p_success must be in (0, 1), got {p_success!r}")
-    return float(p_success)
+    return _bounded(p_success, lambda x: 0.0 < x < 1.0, "p_success must be in (0, 1)")
+
+
+# far above any sweep (TAU_SWEEP reaches 200); a path's counts plus tau stay
+# int64s and tau times a heuristic distance a finite float
+_TAU_MAX = 2**31 - 1
+
+
+def _check_tau(tau) -> int:
+    """The tau rule: an integer (terrain's _integer) in [1, _TAU_MAX]."""
+    if _integer("tau", tau) > _TAU_MAX:
+        raise ValueError(f"tau must be at most {_TAU_MAX}, got {tau!r}")
+    return int(tau)
 
 
 def _check_m(m, n: int) -> float:
     """The m rule, for plan_binary and binary_step_cost: a number in (0, 1/n),
     returned as a float."""
-    if not (_real(m) and 0.0 < m < 1.0 / n):
-        raise ValueError(f"m must be in (0, 1/n), got {m!r} with n = {n}")
-    return float(m)
+    return _bounded(m, lambda x: 0.0 < x < 1.0 / n, f"m must be in (0, 1/n) with n = {n}")
 
 
 # -- planners -----------------------------------------------------------------
@@ -214,7 +225,7 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     t0 = time.perf_counter()
     hs = (env.manhattan3_to(g) * field.min_score()).tolist()
     return _result("ess", {}, s, g, t0,
-                   *_fixed_cost_astar(env, s, g, field._scores_as_floats(), hs))
+                   *_fixed_cost_astar(env, s, g, field._scores, hs))
 
 
 def _fixed_cost_astar(env, s, g, costs, hs):
@@ -372,7 +383,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     queued children, where a count array would take n machine words.
     """
     s, g = _check_query(env, field, s, g)
-    tau, p_success = _integer("tau", tau), _check_p(p_success)
+    tau, p_success = _check_tau(tau), _check_p(p_success)
     params = {"tau": tau, "p_success": p_success}
     t0 = time.perf_counter()
     # h of every region, manhattan3(region, g) * tau * unit in that float
@@ -446,8 +457,11 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     """Cost plan_saturation assigns to stepping into dest from a node whose
     accumulated counts are given. Exposed here for transition-level tests;
     it runs the planner's own expand for the one step (_one_step)."""
-    tau, p_success = _integer("tau", tau), _check_p(p_success)
-    clamped = np.minimum(np.asarray(counts), tau)
+    tau, p_success = _check_tau(tau), _check_p(p_success)
+    counts = np.asarray(counts)
+    if counts.shape != (field.n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ValueError(f"counts must be {field.n} non-negative integers, one per region")
+    clamped = np.minimum(counts, tau)
     slices = [mask_from_indices(np.flatnonzero(clamped >> k & 1))
               for k in range(tau.bit_length())]
     state = (slices, mask_from_indices(np.flatnonzero(clamped == tau)))

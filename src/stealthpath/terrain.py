@@ -14,8 +14,13 @@ Samples that land inside either endpoint cell are skipped, so a region never
 occludes itself and grazing contact counts as visible.
 
 The all-pairs relation is the exposure field: one bitset row per region,
-reflexive (a region always sees itself) and symmetric. Every structure here
-is immutable once built and safe to share across concurrent planner runs.
+reflexive (a region always sees itself) and symmetric. Its packed form, rows
+of ceil(n/8) bytes in little-endian bit order, is stated once, in the
+functions from _set_bits to _check_packed; no other module states it (mapio
+knows only the row width of its file container). An ExposureField builds
+its counts, scores and packed view once, when it is made. Every structure
+here is immutable once built and safe to share across concurrent planner
+runs.
 
 Movement is separate from sight: regions are traversable neighbours when
 they are grid-adjacent (4- or 8-connectivity) and their elevation difference
@@ -24,14 +29,15 @@ is within ``max_step``. A region is never traversable to itself.
 Every region a caller hands in, here or to any other module, is checked by
 one rule, region_id (path_ids for a path). The grid's parameters have one
 rule each, _check_cell_size, _check_d and _check_max_step, which take a
-number (_real: never a bool or a string) and return it as a float;
-connectivity passes the integer rule, _integer. d and the elevations are
-at most 1e150 in magnitude, so no height or distance overflows. The two
-data objects that cross the library boundary have one rule each, applied
-wherever a caller makes, reads or writes one: _check_elevations for a
-heightmap grid (a non-empty 2D grid of finite numbers) and
-ExposureField.validate for an exposure relation (reflexive, symmetric, no
-bit past n).
+number (_real: never a bool or a string) that float() can represent and
+return it as a float (_bounded, every real-valued rule's check);
+connectivity and an ExplicitGraph's n pass the integer rule, _integer. The
+cell size, d and the elevations are at most 1e150 in magnitude, so no
+coordinate, height or distance overflows. The two data objects that cross
+the library boundary have one rule each, applied wherever a caller makes,
+reads or writes one: _check_elevations for a heightmap grid (a non-empty 2D
+grid of finite numbers) and ExposureField.validate for an exposure relation
+(reflexive, symmetric, no bit past n).
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ _LOS_CHUNK_ELEMENTS = 25_000
 # run test covered fewer pairs, and 16384 about 7% slower at 50x50.
 _CERTIFY_PAIRS = 8192
 
-# rows per strip when ExposureField.validate checks symmetry; a multiple of
-# 8, so each strip of columns starts on a byte boundary of the packed rows
+# rows per strip of the walk (_strips) that mirrors and checks a packed
+# matrix; a multiple of 8, so each strip of columns starts on a byte boundary
 _VALIDATE_ROWS = 64
 
 _OFFSETS_4 = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -100,11 +106,24 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _bounded(value, within, message: str) -> float:
+    """Every real-valued rule's check: value as a float if it is a number
+    (_real) that float() represents (10**400 is not) and passes `within`;
+    else a ValueError, the message followed by the value."""
+    try:
+        number = float(value) if _real(value) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not within(number):  # nan fails every bound
+        raise ValueError(f"{message}, got {value!r}")
+    return number
+
+
 def _integer(name: str, value, least: int = 1) -> int:
-    """The integer rule, for connectivity, tau, node_budget, the map size and
-    seeds and the experiment's counts: value as an int if it is a whole
-    number (5, np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None or a
-    string) of at least `least`."""
+    """The integer rule, for connectivity, a graph's n, tau, node_budget, the
+    map size and seeds and the experiment's counts: value as an int if it is
+    a whole number (5, np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None
+    or a string) of at least `least`."""
     if not (_real(value) and least <= value < math.inf and value % 1 == 0):
         raise ValueError(f"{name} must be an integer of at least {least} "
                          f"(integers or whole floats), got {value!r}")
@@ -131,25 +150,24 @@ def _check_elevations(elevations) -> np.ndarray:
 
 def _check_cell_size(cell_size) -> float:
     """The cell-size rule, for a GridEnvironment and every heightmap file
-    read or written, so no command writes a map that the others reject."""
-    if not (_real(cell_size) and 0 < cell_size < math.inf):
-        raise ValueError(f"cell_size must be positive and finite, got {cell_size!r}")
-    return float(cell_size)
+    read or written, so no command writes a map that the others reject: a
+    number in (0, 1e150], bounded as the elevations are (_check_elevations),
+    so no point coordinate overflows."""
+    return _bounded(cell_size, lambda x: 0 < x <= 1e150,
+                    "cell_size must be positive and finite, at most 1e150")
 
 
 def _check_d(d) -> float:
     """The sensor-offset rule: a number in [0, 1e150], bounded as the
     elevations are (_check_elevations)."""
-    if not (_real(d) and 0 <= d <= 1e150):
-        raise ValueError(f"sensor offset d must be non-negative and finite, at most 1e150, "
-                         f"got {d!r}")
-    return float(d)
+    return _bounded(d, lambda x: 0 <= x <= 1e150,
+                    "sensor offset d must be non-negative and finite, at most 1e150")
 
 
 def _check_max_step(max_step) -> float:
-    if not (_real(max_step) and max_step >= 0):
-        raise ValueError(f"max_step must be non-negative, got {max_step!r}")
-    return float(max_step)
+    """The max-step rule: a number in [0, inf]; inf, the default, lets any
+    height difference pass."""
+    return _bounded(max_step, lambda x: x >= 0, "max_step must be non-negative")
 
 
 def _checked(n: int, region) -> int:
@@ -169,8 +187,7 @@ class ExplicitGraph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], points=None):
-        if n <= 0:
-            raise ValueError("need at least one region")
+        n = _integer("n", n)
         adj: list[set[int]] = [set() for _ in range(n)]
         for k, (a, b) in enumerate(edges):
             a, b = region_id(n, a, f"edges[{k}][0]"), region_id(n, b, f"edges[{k}][1]")
@@ -668,11 +685,10 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     """
     n = env.n
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    ids = np.arange(n)
-    packed[ids, ids >> 3] = (1 << (ids & 7)).astype(np.uint8)
+    _set_bits(packed, *np.diag_indices(n))
     stats = _add_visible_pairs(env, packed)
     packed.setflags(write=False)
-    field = ExposureField._of_matrix(packed, n)
+    field = ExposureField._of_matrix(packed)
     field.build_stats = stats
     return field
 
@@ -788,43 +804,79 @@ def _add_visible_pairs(env: GridEnvironment, packed: np.ndarray) -> BuildStats:
                 visible[pick] = _visible_pairs(env, s[pick], t[pick], work, ks * step)
             src = np.concatenate((src[seen], s[visible]))
             tgt = np.concatenate((tgt[seen], t[visible]))
-            # a chunk can hold several targets in one byte of a row: ufunc.at
-            # applies every one, where a fancy-indexed |= would keep only the last
-            np.bitwise_or.at(packed, (src, tgt >> 3), (1 << (tgt & 7)).astype(np.uint8))
+            _set_bits(packed, src, tgt)
     _mirror(packed, env.n)
     pairs = env.n * (env.n - 1) // 2
     return BuildStats(pairs, certified, pairs - certified, run_samples, boundary_samples)
 
 
-def _bit_strip(packed: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Bits of rows r0..r1-1 and columns c0..c1-1 of a packed matrix, one
-    bool each; c0 is a multiple of 8."""
-    raw = packed[r0:r1, c0 >> 3:(c1 + 7) >> 3]
-    return np.unpackbits(raw, axis=1, bitorder="little")[:, :c1 - c0]
+# -- the packed bit layout ---------------------------------------------------
+#
+# Row i of an n-region relation is ceil(n/8) uint8 bytes, bit j in bit j & 7
+# of byte j >> 3: its int bitset in little-endian order. Only the functions
+# from here to _check_packed know this.
+
+def _set_bits(packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit (rows[k], cols[k]) of a packed matrix for every k, in place.
+    Several bits can share one byte of a row: ufunc.at applies every one,
+    where a fancy-indexed |= would keep only the last."""
+    np.bitwise_or.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+
+
+def _unpack(packed: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits of each packed row (the last axis), one 0 or 1
+    uint8 each."""
+    return np.unpackbits(packed, axis=-1, count=count, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of bits (the last axis) as packed rows, _unpack's inverse."""
+    return np.packbits(bits, axis=-1, bitorder="little")
+
+
+def _pack_ints(ints: Sequence[int], n: int) -> np.ndarray:
+    """Non-negative int bitsets below 2**n as a read-only packed matrix."""
+    width = (n + 7) // 8
+    raw = b"".join(i.to_bytes(width, "little") for i in ints)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), width)
+
+
+def _ints_of(packed: np.ndarray) -> tuple[int, ...]:
+    """Each row of a packed matrix as an int bitset, _pack_ints' inverse."""
+    raw, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width))
+
+
+def _strips(packed: np.ndarray, n: int, combine):
+    """Walk the (n, ceil(n/8)) bit matrix one strip of _VALIDATE_ROWS rows
+    at a time, yielding (i0, i1, combine(rows, cols)) for the bits of rows
+    i0..i1-1 and, transposed to the same shape, of columns i0..i1-1. A strip
+    is read once the caller is done with the one before, and only what
+    combine returns outlives it: O(_VALIDATE_ROWS * n) unpacked bits are
+    held at once, never the n x n matrix."""
+    for i0 in range(0, n, _VALIDATE_ROWS):
+        i1 = min(i0 + _VALIDATE_ROWS, n)
+        # i0 is a multiple of 8, so the columns start on a byte boundary
+        yield i0, i1, combine(_unpack(packed[i0:i1], n),
+                              _unpack(packed[:, i0 >> 3:(i1 + 7) >> 3], i1 - i0).T)
 
 
 def _mirror(packed: np.ndarray, n: int) -> None:
     """Copy every bit (i, j) with i < j of the (n, ceil(n/8)) bit matrix to
-    (j, i), in place, one strip of _VALIDATE_ROWS rows at a time, so that
-    O(_VALIDATE_ROWS * n) unpacked bits are held at once."""
-    for i0 in range(0, n, _VALIDATE_ROWS):
-        i1 = min(i0 + _VALIDATE_ROWS, n)
+    (j, i), in place, one strip at a time (_strips)."""
+    for i0, i1, bits in _strips(packed, n, np.bitwise_or):
         # the strip's columns hold only bits i < j yet: earlier strips wrote
         # their rows at columns below i0 only
-        rows = _bit_strip(packed, i0, i1, 0, n) | _bit_strip(packed, 0, n, i0, i1).T
-        packed[i0:i1] = np.packbits(rows, axis=1, bitorder="little")
+        packed[i0:i1] = _pack(bits)
 
-
-# -- exposure field ----------------------------------------------------------
 
 def _check_packed(packed: np.ndarray, n: int) -> None:
-    """Raise ValueError unless the (n, ceil(n/8)) bit matrix, little-endian
-    as ExposureField.to_packed writes it, is a valid exposure relation.
+    """Raise ValueError unless the (n, ceil(n/8)) bit matrix, laid out as
+    ExposureField.to_packed gives it, is a valid exposure relation.
 
     Checks, in this order: reflexivity, symmetry and no bits beyond column
-    n. Symmetry is checked one strip of _VALIDATE_ROWS rows at a time
-    against the matching strip of columns, so the check holds
-    O(_VALIDATE_ROWS * n) unpacked bits at once, never the n x n matrix.
+    n. Symmetry is checked one strip of rows at a time against the matching
+    strip of columns (_strips).
     """
     ids = np.arange(n)
     diagonal = (packed[ids, ids >> 3] >> (ids & 7)) & 1
@@ -832,15 +884,15 @@ def _check_packed(packed: np.ndarray, n: int) -> None:
         bad = int(np.flatnonzero(diagonal == 0)[0])
         raise ValueError(f"exposure relation not reflexive at region {bad}")
 
-    for i0 in range(0, n, _VALIDATE_ROWS):
-        i1 = min(i0 + _VALIDATE_ROWS, n)
-        diff = _bit_strip(packed, i0, i1, 0, n) != _bit_strip(packed, 0, n, i0, i1).T
+    for i0, _, diff in _strips(packed, n, np.not_equal):
         if diff.any():
             i, j = (int(v[0]) for v in np.nonzero(diff))
             raise ValueError(f"exposure relation not symmetric at pair ({i + i0}, {j})")
     if n & 7 and (packed[:, -1] >> (n & 7)).any():
         raise ValueError("exposure row has bits beyond the region count")
 
+
+# -- exposure field ----------------------------------------------------------
 
 class ExposureField:
     """Symmetric, reflexive visibility relation over n regions.
@@ -851,35 +903,42 @@ class ExposureField:
     to be an int or numpy integer (_int), non-negative with no bit at or past
     n, then runs validate(); from_packed runs validate's _check_packed.
 
-    The int rows are the storage the planners read. The one derived view is
-    the packed (n, ceil(n/8)) uint8 matrix of to_packed(), read-only, taken
-    as given from compute_exposure_field and from_packed or else built on
-    first use. members() unpacks one row of it per call and keeps nothing.
+    The int rows are the storage the planners read. Every constructor goes
+    through _init_views, which builds every derived view once: the counts,
+    the scores as a tuple of floats (plan_ess's step costs, and what
+    scores(), min_score() and exposure_score() read) and the read-only
+    packed matrix of to_packed(), taken as given from compute_exposure_field
+    and from_packed. Its layout is stated once, from _set_bits to
+    _check_packed.
 
     build_stats holds the builder's work counts (BuildStats) on a field from
     compute_exposure_field and is None otherwise; equality and hashing
     ignore it.
     """
 
-    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_score_floats", "_packed")
+    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_packed")
 
     def __init__(self, rows: Sequence[int]):
         for k, r in enumerate(rows):
             if not _int(r) or r < 0:
                 raise ValueError(f"exposure row {k} must be a non-negative integer, got {r!r}")
         # plain ints, never numpy integers: rows must not overflow at n > 63
-        self._set_rows(tuple(int(r) for r in rows), None)
-        if any(r >> self.n for r in self.rows):
+        rows = tuple(int(r) for r in rows)
+        if any(r >> len(rows) for r in rows):
             raise ValueError("exposure row has bits beyond the region count")
+        self._init_views(rows, _pack_ints(rows, len(rows)))
         self.validate()
 
-    def _set_rows(self, rows: tuple[int, ...], packed) -> None:
-        self.n = len(rows)
-        if self.n == 0:
+    def _init_views(self, rows: tuple[int, ...], packed: np.ndarray) -> None:
+        """The constructor core: the int rows, their read-only packed
+        matrix and every view derived from them."""
+        if not rows:
             raise ValueError("exposure field needs at least one region")
+        self.n = n = len(rows)
         self.rows = rows
         self._counts = tuple(r.bit_count() for r in rows)
-        self._scores = self._score_floats = None
+        # c / n of two ints rounds once, as float64 division does
+        self._scores = tuple(c / n for c in self._counts)
         self._packed = packed
         self.build_stats = None
 
@@ -892,37 +951,30 @@ class ExposureField:
 
     def exposure_score(self, region: int) -> float:
         """Fraction of the map visible from a region, in [1/n, 1]."""
-        return float(self.scores()[_checked(self.n, region)])
+        return self._scores[_checked(self.n, region)]
 
     def scores(self) -> np.ndarray:
-        if self._scores is None:
-            arr = np.array(self._counts, dtype=np.float64) / self.n
-            arr.setflags(write=False)
-            self._scores = arr
-        return self._scores
-
-    def _scores_as_floats(self) -> tuple[float, ...]:
-        """scores() as Python floats, built once: plan_ess's step costs."""
-        if self._score_floats is None:
-            self._score_floats = tuple(self.scores().tolist())
-        return self._score_floats
+        """Every region's exposure score, as a new float array."""
+        return np.array(self._scores)
 
     def min_score(self) -> float:
-        return float(self.scores().min())
+        return min(self._scores)
 
     def members(self, region: int) -> np.ndarray:
         """Visible regions as a sorted index array."""
-        region = _checked(self.n, region)
-        bits = np.unpackbits(self.to_packed()[region], count=self.n, bitorder="little")
-        return np.flatnonzero(bits)
+        return np.flatnonzero(_unpack(self._packed[_checked(self.n, region)], self.n))
+
+    def _rows_within(self, mask: int) -> int:
+        """Bitset of the regions whose rows lie inside the bitset `mask`:
+        row i fits when no byte of row & ~mask is non-zero. Bits of mask
+        at or past n meet no row and are dropped before it is packed."""
+        outside = ~_pack_ints([mask & ((1 << self.n) - 1)], self.n)
+        fits = ~(self._packed & outside).any(axis=1)
+        return _ints_of(_pack(fits)[None])[0]
 
     def to_packed(self) -> np.ndarray:
-        """Rows as a read-only (n, ceil(n/8)) uint8 matrix, little-endian bit
-        order."""
-        if self._packed is None:
-            nbytes = (self.n + 7) // 8
-            raw = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
-            self._packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n, nbytes)
+        """Rows as a read-only (n, ceil(n/8)) uint8 matrix, laid out as
+        stated from _set_bits to _check_packed."""
         return self._packed
 
     @classmethod
@@ -932,26 +984,24 @@ class ExposureField:
             raise ValueError(f"packed matrix is {packed.dtype} {packed.shape}, "
                              f"expected uint8 ({n}, {(n + 7) // 8})")
         _check_packed(packed, n)
-        return cls._of_matrix(packed, n)
+        return cls._of_matrix(packed)
 
     @classmethod
-    def _of_matrix(cls, packed: np.ndarray, n: int) -> "ExposureField":
+    def _of_matrix(cls, packed: np.ndarray) -> "ExposureField":
         """from_packed unchecked, for a matrix known valid. It becomes the
         field's packed view, copied first if writable, so later writes by
         the caller cannot reach the field."""
-        raw, width = packed.tobytes(), packed.shape[1]
         if packed.flags.writeable:
             packed = packed.copy()
             packed.setflags(write=False)
         field = cls.__new__(cls)
-        field._set_rows(tuple(int.from_bytes(raw[i:i + width], "little")
-                              for i in range(0, n * width, width)), packed)
+        field._init_views(_ints_of(packed), packed)
         return field
 
     def validate(self) -> None:
         """Raise ValueError unless the field is reflexive, symmetric and has
         no bits beyond region n - 1 (see _check_packed)."""
-        _check_packed(self.to_packed(), self.n)
+        _check_packed(self._packed, self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExposureField) and self.rows == other.rows

@@ -93,6 +93,26 @@ class TestPlan:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_a_tau_past_its_bound_is_usage_error(self, capsys):
+        code = main(["plan", "--fixture", "--alg", "saturation", "--tau", str(10**22),
+                     "--start", "F", "--goal", "H"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: tau must be at most")
+
+    def test_a_term_that_underflows_prints_as_json(self, capsys):
+        # 0.01 ** 200 underflows to 0.0: the record still holds a finite
+        # obj_acc, 2 per clamped sighting. The planner's cost leaves out the
+        # start's own 406: F saturates (200) and C, I and J see it once.
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code = main(["plan", "--fixture", "--alg", "saturation", "--tau", "200",
+                     "--p-success", "0.01", "--start", "F", "--goal", "H"])
+        assert code == 0
+        rec = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rec["obj_acc"] == pytest.approx(rec["cost"] + 406.0, rel=1e-12)
+
     def test_missing_tau_is_usage_error(self, tmp_path, capsys):
         p = make_map(tmp_path)
         code = main(["plan", "--map", str(p), "--alg", "saturation",

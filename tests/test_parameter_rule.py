@@ -1,7 +1,8 @@
 """One rule per parameter, stated in the module whose code reads the value
-(search._check_p and _check_m; terrain._integer, _check_cell_size, _check_d
-and _check_max_step; bench._check_size), applied at every entry point that
-takes the parameter.
+(search._check_p, _check_tau and _check_m; terrain._integer, _check_cell_size,
+_check_d and _check_max_step; bench._check_size), applied at every entry
+point that takes the parameter. ExplicitGraph's region count n passes the
+integer rule too.
 
 Each rule takes a number, never a bool or a string, and returns it in the
 type its code needs: an int for a count, size or seed (a whole float such as
@@ -15,7 +16,8 @@ import re
 import numpy as np
 import pytest
 
-from stealthpath import (ExperimentConfig, GridEnvironment, build_environment,
+from stealthpath import (ExperimentConfig, ExplicitGraph, ExposureField, GridEnvironment,
+                         build_environment,
                          compute_exposure_field, gen_boxes, gen_hills, generate_map, obj_acc,
                          path_counts, plan, plan_binary, plan_exact, plan_saturation,
                          run_experiment)
@@ -51,6 +53,7 @@ PARAMETERS = {
     # on a one-region world, where m is in (0, 1)
     "m": (0, {"half"}, "m", None, None, float),
     "connectivity": (4, {"np.int64", "float"}, "connectivity", None, None, int),
+    "n": (2, {"np.int64", "float"}, "n", None, None, int),
 }
 VALUES = sorted(values(0))
 CONFIG_PARAMETERS = [param for param, row in PARAMETERS.items() if row[3] is not None]
@@ -119,6 +122,7 @@ def entry_points(param, env, field):
             "build_environment": lambda v: build_environment(elev, connectivity=v),
             "GridEnvironment": lambda v: GridEnvironment(elev, connectivity=v),
         },
+        "n": {"ExplicitGraph": lambda v: ExplicitGraph(v, [])},
     }
     return table.get(param, {})
 
@@ -192,3 +196,62 @@ def test_m_is_read_as_a_float():
 def test_an_int_seed_draws_the_same_map():
     assert np.array_equal(gen_boxes(np.int64(3), 12), gen_boxes(3, 12))
     assert np.array_equal(gen_hills(3.0, 12), gen_hills(3, 12))
+
+
+def test_a_whole_float_region_count_is_stored_as_an_int():
+    graph = ExplicitGraph(2.0, [(0, 1)])
+    assert type(graph.n) is int and graph.n == 2 and graph.adjacency == ((1,), (0,))
+
+
+# values past a rule's bound, per parameter and not in the shared VALUES
+# table: there, 10**400 would make queries loop and size allocate. Each
+# passed its rule and overflowed later (tau, cell_size 1e308), or made the
+# rule's own float() raise OverflowError (10**400 as a length).
+PAST_THE_BOUND = {
+    "tau": (2**31, 10**22, 10**400),
+    "cell_size": (1e308, 10**400),
+    "d": (10**400,),
+    "max_step": (10**400,),
+}
+PAST_ENTRIES = [(param, name, v) for param, vs in PAST_THE_BOUND.items()
+                for name in sorted(entry_points(param, None, None)) for v in vs]
+
+
+def _label(v):
+    return f"10**{len(str(v)) - 1}" if isinstance(v, int) and v > 10**12 else repr(v)
+
+
+@pytest.mark.parametrize("param, entry, v", PAST_ENTRIES,
+                         ids=[f"{p}-{e}-{_label(v)}" for p, e, v in PAST_ENTRIES])
+def test_a_value_past_the_bound_is_rejected(flat5, param, entry, v):
+    named = PARAMETERS[param][2]
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)} must "):
+        entry_points(param, *flat5)[entry](v)
+
+
+@pytest.mark.parametrize("param, v", [(p, v) for p, vs in PAST_THE_BOUND.items() for v in vs],
+                         ids=[f"{p}-{_label(v)}" for p, vs in PAST_THE_BOUND.items() for v in vs])
+def test_the_config_rejects_a_value_past_the_bound(param, v):
+    with pytest.raises(ConfigError, match=rf"^config key '{PARAMETERS[param][4]}': "):
+        _config(param, v)
+
+
+def test_tau_at_its_bound_runs_everywhere(flat5):
+    tau = 2**31 - 1
+    for call in entry_points("tau", *flat5).values():
+        call(tau)
+    assert score_path(flat5[1], [0, 1], tau)[1] > 0
+    assert ExperimentConfig(taus=(tau,)).taus == (tau,)
+
+
+def test_the_largest_cell_size_keeps_every_coordinate_finite():
+    env = GridEnvironment([[0.0, 0.0, 0.0]], cell_size=1e150)
+    assert np.isfinite(env.points).all() and math.isfinite(env.manhattan3(0, 2))
+
+
+@pytest.mark.parametrize("counts", [np.array([0]), [-1, 0, 0], np.zeros(3), np.zeros((1, 3), int)],
+                         ids=["short", "negative", "float", "2D"])
+def test_saturation_step_cost_checks_its_counts(counts):
+    field = ExposureField([0b011, 0b111, 0b110])
+    with pytest.raises(ValueError, match="^counts must be 3 non-negative integers"):
+        saturation_step_cost(field, counts, 1, 2, 0.9)

@@ -2,6 +2,7 @@ import heapq
 import json
 import math
 import re
+import warnings
 from collections import deque
 
 import numpy as np
@@ -291,6 +292,29 @@ class TestObjAcc:
         expect = -math.log10(p) * sum(min(c, tau) for c in counts)
         got = obj_acc(counts, p, tau)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+    def test_a_term_that_underflows_counts_its_clamped_sightings(self):
+        # 0.95 ** 20000 underflows to 0.0; its term is 20000 * -log10(0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert obj_acc([20000], 0.95, 20000) == pytest.approx(445.5279, rel=1e-6)
+            assert obj_acc([20000, 30000, 2], 0.95, 20000) == pytest.approx(
+                -math.log10(0.95) * 40002, rel=1e-12)
+
+    def test_the_fixture_at_tau_200_scores_its_planned_cost(self):
+        fx = lemma1_fixture()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = plan_saturation(fx.graph, fx.field, fx.index("F"), fx.index("H"), 200, 0.01)
+            rec = result_record(fx.field, res)
+        # the cost is the growth of the objective past the start's own term
+        counts = path_counts(fx.field, res.path, 200)
+        root = path_counts(fx.field, res.path[:1], 200)
+        assert res.cost == 2010.0
+        assert obj_acc(counts, 0.01, 200) - obj_acc(root, 0.01, 200) == pytest.approx(
+            res.cost, rel=1e-12)
+        assert rec["obj_acc"] == pytest.approx(2 * np.minimum(counts, 200).sum(), rel=1e-12)
+        json.dumps(rec, allow_nan=False)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="p_success"):
