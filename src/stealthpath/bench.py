@@ -321,9 +321,21 @@ class ExperimentConfig:
                               f"got {self.workers}")
 
 
+_TRUE_WORDS, _FALSE_WORDS = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
+
+
+def _check_timing(timing) -> bool:
+    """The timing rule: a bool, 0 or 1, or a word above in any case, as a bool."""
+    word = str(timing).lower() if isinstance(timing, (str, int, np.integer, np.bool_)) else ""
+    if word not in _TRUE_WORDS + _FALSE_WORDS:
+        raise ValueError(f"timing must be a boolean: {'/'.join(_TRUE_WORDS)} or "
+                         f"{'/'.join(_FALSE_WORDS)}, got {timing!r}")
+    return word in _TRUE_WORDS
+
+
 # Each key's rule, from the code that reads its value, for every key but the
-# lists of names and timing: the value as that code takes it (a whole float as
-# an int), else a ValueError. A list's rule checks each entry.
+# lists of names: the value as that code takes it (a whole float as an int),
+# else a ValueError. A list's rule checks each entry.
 _KEY_RULES = {
     "sizes": lambda sizes: tuple(map(_check_size, sizes)),
     "seeds": lambda seeds: tuple(_integer("seed", seed, 0) for seed in seeds),
@@ -336,6 +348,7 @@ _KEY_RULES = {
     "d": _check_d,
     "query_seed": lambda seed: _integer("query_seed", seed, 0),
     "workers": lambda workers: _integer("workers", workers),
+    "timing": _check_timing,
 }
 
 # Each config key names an ExperimentConfig field, but for these two.
@@ -365,27 +378,27 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
         field_name = _CONFIG_KEYS.get(key, key)
         if field_name not in defaults or key in _CONFIG_KEYS.values():
             raise ConfigError(f"unknown config key '{key}'")
-        try:
-            kwargs[field_name] = _parse_config_value(defaults[field_name], value)
-        except ValueError as exc:
-            raise ConfigError(f"config key '{key}': {exc}") from None
+        kwargs[field_name] = _parse_config_value(defaults[field_name], value)
     return ExperimentConfig(**kwargs)
 
 
 def _parse_config_value(default, value: str):
-    """Parse a value as the type of its field's default: a comma-separated
-    tuple of str or int, a boolean word, an int or a float."""
+    """A value, split at commas if its field is a list (a tuple default), each
+    word the number it spells (_number) or else the word itself."""
     if isinstance(default, tuple):
-        item = type(default[0])
-        return tuple(item(v.strip()) for v in value.split(",") if v.strip())
-    if isinstance(default, bool):
-        low = value.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    return type(default)(value)
+        return tuple(_parse_config_value(None, v.strip()) for v in value.split(",") if v.strip())
+    with contextlib.suppress(ValueError):
+        return _number(value)
+    return value
+
+
+def _number(word: str):
+    """The number a word spells, for its rule to judge: an int if int() reads
+    it, else a float if float() does (1e5, inf, nan), else a ValueError."""
+    try:
+        return int(word)
+    except ValueError:
+        return float(word)
 
 
 def _query_cells(config: ExperimentConfig) -> list[tuple[str, Optional[int]]]:

@@ -3,7 +3,8 @@
 Subcommands: gen (write a procedural heightmap), plan (run one planner on
 one query), corridor (equal-exposure corridor of a given path), render
 (grayscale PGM of exposure scores with optional overlays), experiment (the
-full benchmark protocol).
+full benchmark protocol). A numeric flag is the number it spells
+(bench._number), judged by its parameter's rule alone.
 
 stdout carries machine-readable payloads only (JSON records, nothing else);
 progress and diagnostics go to stderr. Exit codes: 0 success, 1 runtime
@@ -33,9 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a procedural heightmap")
     p_gen.add_argument("kind", choices=bench.MAP_KINDS)
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--size", type=int, required=True, help="cells per side")
-    p_gen.add_argument("--cell-size", type=float, default=bench.DEFAULT_CELL_SIZE,
+    p_gen.add_argument("--seed", type=bench._number, required=True)
+    p_gen.add_argument("--size", type=bench._number, required=True, help="cells per side")
+    p_gen.add_argument("--cell-size", type=bench._number, default=bench.DEFAULT_CELL_SIZE,
                        help="cell pitch in meters (default %(default)s)")
     p_gen.add_argument("--out", required=True, help="output heightmap path")
     p_gen.set_defaults(func=cmd_gen)
@@ -46,12 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--start", required=True,
                         help="'row,col' cell, or a region letter with --fixture")
     p_plan.add_argument("--goal", required=True)
-    p_plan.add_argument("--tau", type=int, default=None,
+    p_plan.add_argument("--tau", type=bench._number, default=None,
                         help="saturation threshold (saturation planner only)")
-    p_plan.add_argument("--p-success", type=float, default=search.DEFAULT_P_SUCCESS)
-    p_plan.add_argument("--m", type=float, default=None,
+    p_plan.add_argument("--p-success", type=bench._number, default=search.DEFAULT_P_SUCCESS)
+    p_plan.add_argument("--m", type=bench._number, default=None,
                         help="binary planner movement cost (default 1/(2n))")
-    p_plan.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET,
+    p_plan.add_argument("--budget", type=bench._number, default=search.DEFAULT_NODE_BUDGET,
                         help="exact planner expansion budget (default %(default)s)")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -93,11 +94,11 @@ def _add_world_args(sub: argparse.ArgumentParser, fixture: bool = True) -> None:
     else:
         sub.add_argument("--map", required=True, help="heightmap file")
         sub.set_defaults(fixture=False)
-    sub.add_argument("--d", type=float, default=1.0,
+    sub.add_argument("--d", type=bench._number, default=1.0,
                      help="sensor height above terrain in meters (default 1)")
-    sub.add_argument("--max-step", type=float, default=bench.DEFAULT_MAX_STEP,
+    sub.add_argument("--max-step", type=bench._number, default=bench.DEFAULT_MAX_STEP,
                      help="max climbable elevation change (default %(default)s)")
-    sub.add_argument("--connectivity", type=int, choices=(4, 8), default=4)
+    sub.add_argument("--connectivity", type=bench._number, default=4, help="4 or 8")
     sub.add_argument("--cache-dir",
                      help="exposure field cache directory (default: map's directory)")
     sub.add_argument("--no-cache", action="store_true",
@@ -129,7 +130,7 @@ class _World:
         parts = spec.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'row,col', got {spec!r}")
-        return self.env.index(int(parts[0]), int(parts[1]))
+        return self.env.index(bench._number(parts[0]), bench._number(parts[1]))
 
     def parse_path(self, spec: str) -> list[int]:
         if self.fixture is not None:
@@ -146,7 +147,7 @@ class _World:
 def cmd_gen(args) -> int:
     elev = bench.generate_map(args.kind, args.seed, args.size)
     mapio.save_heightmap(args.out, elev, args.cell_size)
-    print(f"wrote {args.kind} {args.size}x{args.size} map to {args.out}",
+    print(f"wrote {args.kind} {len(elev)}x{len(elev)} map to {args.out}",
           file=sys.stderr)
     return 0
 

@@ -102,8 +102,6 @@ def load_exposure_field(path) -> ExposureField:
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated header")
     (n,) = struct.unpack("<I", raw[4:8])
-    if n == 0:
-        raise ValueError(f"{path}: zero regions")
     nbytes = (n + 7) // 8
     body = raw[8:]
     if len(body) != n * nbytes:
@@ -118,27 +116,25 @@ def field_cache_path(map_bytes: bytes, d: float, cache_dir) -> Path:
     return Path(cache_dir) / f"{digest}.expf"
 
 
-def load_or_compute_field(env: GridEnvironment, map_bytes: bytes | None = None,
+def load_or_compute_field(env: GridEnvironment, map_bytes: bytes,
                           cache_dir=None) -> ExposureField:
-    """Fetch the environment's exposure field, going through the cache if
-    a map identity (its raw bytes) and a cache directory are supplied.
+    """Fetch the environment's exposure field, going through the cache
+    keyed by the map's raw bytes unless cache_dir is None.
 
     A cache entry that does not load as a valid field of the right size is
     a miss: it is reported on stderr and overwritten with a fresh build. A
     cache that cannot be written is reported on stderr too, and the field
     built is returned all the same."""
-    cache_path = None
-    if map_bytes is not None and cache_dir is not None:
-        cache_path = field_cache_path(map_bytes, env.d, cache_dir)
-        if cache_path.exists():
-            try:
-                field = load_exposure_field(cache_path)
-                check_field_matches(env, field)
-            except (OSError, ValueError) as exc:
-                print(f"warning: ignoring invalid field cache ({exc}); recomputing",
-                      file=sys.stderr)
-            else:
-                return field
+    cache_path = None if cache_dir is None else field_cache_path(map_bytes, env.d, cache_dir)
+    if cache_path is not None and cache_path.exists():
+        try:
+            field = load_exposure_field(cache_path)
+            check_field_matches(env, field)
+        except (OSError, ValueError) as exc:
+            print(f"warning: ignoring invalid field cache ({exc}); recomputing",
+                  file=sys.stderr)
+        else:
+            return field
     field = compute_exposure_field(env)
     if cache_path is not None:
         try:

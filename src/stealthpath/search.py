@@ -50,8 +50,7 @@ priced ng = gg + delta + m is at least gg + m (ng = gg + delta * unit at
 least gg), and the skipped step would have failed ng < best_g[nb] anyway.
 The pushes, paths, costs and expansions are those of pricing every step.
 
-Every PlanResult carries stats, a SearchStats from _best_first: pushes,
-stale_pops, peak_frontier and closed. result_record leaves them out.
+Every PlanResult carries _best_first's SearchStats, left out of result_record.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
 path_ids) on the way in, and each parameter its one rule: _check_p for
@@ -68,8 +67,7 @@ A*, _fixed_cost_astar, ess's step costs the field's scores as floats, built
 once per field. heapq's functions are looked up once per planner call, never
 at import. Set differences use positive ints only: x ^ (x & y)
 for x & ~y, and |x| - |x & y| for its size, the same integers. ~y is
-negative, and x & ~y takes CPython's two's-complement path: about 290 ns
-against 130 ns for x ^ (x & y) on 1600-bit rows (2-core Xeon, Python 3.11).
+negative, and x & ~y takes CPython's slower two's-complement path.
 """
 
 from __future__ import annotations
@@ -106,8 +104,7 @@ class SearchStats(NamedTuple):
     closed: int  # nodes kept in closed: each expanded node but the goal
 
 
-# slots: callers keep many results (the query-warm benchmark 4000 a round),
-# and a slotted one is about 50 bytes smaller, half of what stats adds
+# slots: callers keep many results, and a slotted one is smaller
 @dataclass(slots=True)
 class PlanResult:
     algorithm: str
@@ -159,9 +156,12 @@ def obj_acc(counts, p_success: float, tau: int) -> float:
     if c.size and c.min() < 0:
         raise ValueError("counts must be non-negative")
     with np.errstate(under="ignore", divide="ignore"):
-        logs = np.log10(np.maximum(p_success ** c.astype(np.float64), p_success ** tau))
-    # a term whose power underflows to 0 is min(c_i, tau) factors of p_success
-    logs = np.where(np.isinf(logs), np.minimum(c, tau) * math.log10(p_success), logs)
+        power = np.maximum(p_success ** c.astype(np.float64), p_success ** tau)
+        logs = np.log10(power)
+    # a power below the smallest normal float lost digits or underflowed to 0:
+    # its term is min(c_i, tau) factors of p_success
+    logs = np.where(power < np.finfo(float).tiny,
+                    np.minimum(c, tau) * math.log10(p_success), logs)
     return float(-logs.sum())
 
 

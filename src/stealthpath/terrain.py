@@ -17,10 +17,9 @@ The all-pairs relation is the exposure field: one bitset row per region,
 reflexive (a region always sees itself) and symmetric. Its packed form, rows
 of ceil(n/8) bytes in little-endian bit order, is stated once, in the
 functions from _set_bits to _check_packed; no other module states it (mapio
-knows only the row width of its file container). An ExposureField builds
-its counts, scores and packed view once, when it is made. Every structure
-here is immutable once built and safe to share across concurrent planner
-runs.
+knows only the row width of its file container). An ExposureField builds its
+counts, scores and packed view once, when it is made. Every structure here is
+immutable once built and safe to share across concurrent planner runs.
 
 Movement is separate from sight: regions are traversable neighbours when
 they are grid-adjacent (4- or 8-connectivity) and their elevation difference
@@ -30,14 +29,14 @@ Every region a caller hands in, here or to any other module, is checked by
 one rule, region_id (path_ids for a path). The grid's parameters have one
 rule each, _check_cell_size, _check_d and _check_max_step, which take a
 number (_real: never a bool or a string) that float() can represent and
-return it as a float (_bounded, every real-valued rule's check);
-connectivity and an ExplicitGraph's n pass the integer rule, _integer. The
-cell size, d and the elevations are at most 1e150 in magnitude, so no
-coordinate, height or distance overflows. The two data objects that cross
-the library boundary have one rule each, applied wherever a caller makes,
-reads or writes one: _check_elevations for a heightmap grid (a non-empty 2D
-grid of finite numbers) and ExposureField.validate for an exposure relation
-(reflexive, symmetric, no bit past n).
+return it as a float (_bounded, every real-valued rule's check); connectivity
+and an ExplicitGraph's n pass the integer rule, _integer. The cell size, d
+and the elevations are at most 1e150 in magnitude, so no coordinate, height
+or distance overflows. The two data objects that cross the library boundary
+have one rule each, applied wherever a caller makes, reads or writes one:
+_check_elevations for a heightmap grid (a non-empty 2D grid of finite
+numbers) and ExposureField.validate for an exposure relation (reflexive,
+symmetric, no bit past n).
 """
 
 from __future__ import annotations
@@ -58,9 +57,7 @@ _LOS_CHUNK_ELEMENTS = 25_000
 
 # pairs the field builder enumerates, certifies and run-tests at once
 # (rounded down to whole batches): its per-pair arrays, 64 KB of intp each,
-# then stay under glibc's mmap threshold. In paired builds of generated maps
-# 4096 was about 5% slower at 30x30 and 50x50, where each row block of the
-# run test covered fewer pairs, and 16384 about 7% slower at 50x50.
+# then stay under glibc's mmap threshold
 _CERTIFY_PAIRS = 8192
 
 # rows per strip of the walk (_strips) that mirrors and checks a packed
@@ -326,9 +323,8 @@ def traversable(env, a: int, b: int) -> bool:
 # a few ulps of the pair's largest cell coordinate, about 1e-12 cells on any
 # grid whose field fits in memory, so a sample farther out floors into its
 # planned cell for every pair. Planned samples lie within 1e-14 cells of a
-# boundary (axis rays, Pythagorean displacements) or, on every grid up to
-# 100x100, at least 2e-7 cells from one; any value in between gives the
-# same bytes.
+# boundary (axis rays, Pythagorean displacements) or, up to 100x100, at
+# least 2e-7 cells from one: any value in between gives the same bytes.
 _BOUNDARY_TOL = 1e-9
 
 # The visible certificate compares terrain against min(sz, tz) minus this
@@ -348,8 +344,7 @@ def _work_arrays(size: int):
 
     Fresh temporaries of a batch's size lie above glibc's mmap threshold,
     so each would be mapped, faulted in and unmapped again; the field
-    builder reuses one set instead, which makes a build in a fresh process
-    about 1.8x faster.
+    builder reuses one set instead.
     """
     return (np.empty(size), np.empty(size), np.empty(size), np.empty(size, np.intp),
             np.empty(size, bool), np.empty(size, bool))
@@ -522,8 +517,8 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
     with _ray_plans, and its pairs are numbered ray by ray, rays with
     ambiguous samples first so that few chunks need the full rule. Each
     ray's runs are ordered midpoint-first, padding last: the run test sweeps
-    the rows in that order and drops a pair once it is blocked, and on
-    generated 50x50 maps it built about 1.1x faster than ray order.
+    the rows in that order and drops a pair once it is blocked, which
+    happens sooner than in ray order.
     """
     drs, dcs = np.mgrid[0:height, -(width - 1):width]
     crossings = np.where((drs > 0) | (dcs > 0), drs + np.abs(dcs), 0)
@@ -579,9 +574,7 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
 
 
 # The group plans of the most recent grid shape, as ((height, width),
-# plans). One shape at most: a build of another shape replaces it, so the
-# cache never holds more than one shape's tables, 0.26 MB at 30x30, 1.2 MB
-# at 50x50 and 13 MB at 100x100.
+# plans): a build of another shape replaces them (_shape_plans).
 _plan_cache = None
 
 
@@ -674,14 +667,11 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
 
     The ray plans behind all three stages depend only on the grid shape and
     are kept for the most recent shape (_shape_plans), so repeated builds of
-    one shape plan once; planning takes about 30 ms at 30x30. The field
-    carries the work counts as `build_stats` (BuildStats).
+    one shape plan once. The field carries the work counts as `build_stats`
+    (BuildStats).
 
-    O(n^2) pairs with rays O(sqrt(n)) cells long: on a 2-core Xeon (Python
-    3.11, numpy 2.4) a 30x30 map takes about 0.1 s, where the certificate
-    decides 36-53% of the pairs; 50x50 about 1 s (20-25%) and 100x100 about
-    20 s (5-8%), each in a fresh process. Cache the field, see the mapio
-    module.
+    O(n^2) pairs with rays O(sqrt(n)) cells long: cache the field, see the
+    mapio module.
     """
     n = env.n
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -904,12 +894,11 @@ class ExposureField:
     n, then runs validate(); from_packed runs validate's _check_packed.
 
     The int rows are the storage the planners read. Every constructor goes
-    through _init_views, which builds every derived view once: the counts,
-    the scores as a tuple of floats (plan_ess's step costs, and what
-    scores(), min_score() and exposure_score() read) and the read-only
-    packed matrix of to_packed(), taken as given from compute_exposure_field
-    and from_packed. Its layout is stated once, from _set_bits to
-    _check_packed.
+    through _init_views, which checks the region count, then builds every
+    derived view once: the counts, the scores as a tuple of floats (plan_ess's
+    step costs, and what scores(), min_score() and exposure_score() read)
+    and the read-only packed matrix of to_packed(), taken as given from
+    compute_exposure_field and from_packed.
 
     build_stats holds the builder's work counts (BuildStats) on a field from
     compute_exposure_field and is None otherwise; equality and hashing
@@ -926,16 +915,16 @@ class ExposureField:
         rows = tuple(int(r) for r in rows)
         if any(r >> len(rows) for r in rows):
             raise ValueError("exposure row has bits beyond the region count")
-        self._init_views(rows, _pack_ints(rows, len(rows)))
+        self._init_views(_pack_ints(rows, len(rows)), rows)
         self.validate()
 
-    def _init_views(self, rows: tuple[int, ...], packed: np.ndarray) -> None:
-        """The constructor core: the int rows, their read-only packed
-        matrix and every view derived from them."""
-        if not rows:
+    def _init_views(self, packed: np.ndarray, rows: tuple[int, ...] | None = None) -> None:
+        """The constructor core: the read-only packed matrix, its int rows
+        (read from it unless given) and every view derived from them."""
+        if not len(packed):
             raise ValueError("exposure field needs at least one region")
+        self.rows = rows = _ints_of(packed) if rows is None else rows
         self.n = n = len(rows)
-        self.rows = rows
         self._counts = tuple(r.bit_count() for r in rows)
         # c / n of two ints rounds once, as float64 division does
         self._scores = tuple(c / n for c in self._counts)
@@ -995,7 +984,7 @@ class ExposureField:
             packed = packed.copy()
             packed.setflags(write=False)
         field = cls.__new__(cls)
-        field._init_views(_ints_of(packed), packed)
+        field._init_views(packed)
         return field
 
     def validate(self) -> None:

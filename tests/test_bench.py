@@ -488,6 +488,43 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'timing'.*boolean"):
             config_from_mapping({"timing": "maybe"})
 
+    @pytest.mark.parametrize("value, stored", [
+        (True, True), (False, False), (np.bool_(True), True), (np.bool_(False), False),
+        (1, True), (0, False), (np.int64(1), True),
+        ("on", True), ("Yes", True), ("TRUE", True), ("1", True),
+        ("off", False), ("No", False), ("False", False), ("0", False),
+    ])
+    def test_timing_is_stored_as_a_bool(self, value, stored):
+        assert ExperimentConfig(timing=value, workers=1).timing is stored
+
+    @pytest.mark.parametrize("value", ["maybe", 2, -1, 1.0, 0.5, None, "", "y"])
+    def test_timing_rejects_a_non_boolean(self, value):
+        with pytest.raises(ConfigError, match="^config key 'timing': .*boolean"):
+            ExperimentConfig(timing=value)
+
+    def test_timing_words_reach_its_rule(self):
+        for text, stored in (("on", True), ("OFF", False), ("1", True), ("0", False)):
+            assert config_from_mapping({"timing": text}).timing is stored
+        # a word read as a number still gets the boolean rule's verdict
+        for text in ("2", "1.0", "maybe"):
+            with pytest.raises(ConfigError, match="^config key 'timing': .*boolean"):
+                config_from_mapping({"timing": text})
+        assert ExperimentConfig(timing="off").timing is False
+        assert ExperimentConfig(timing="off", workers=2).workers == 2
+
+    def test_a_whole_float_word_runs_as_its_int(self):
+        cfg = config_from_mapping({"budget": "1e5", "sizes": "10.0", "queries": "2.0"})
+        assert (cfg.node_budget, cfg.sizes, cfg.queries) == (100000, (10,), 2)
+        assert [type(v) for v in (cfg.node_budget, cfg.sizes[0], cfg.queries)] == [int] * 3
+        with pytest.raises(ConfigError, match="^config key 'taus': 1 is listed twice"):
+            config_from_mapping({"taus": "1, 1.0"})
+        with pytest.raises(ConfigError, match="^config key 'queries': queries must be an "
+                                              "integer .*got 'lots'"):
+            config_from_mapping({"queries": "lots"})
+        # a list of names keeps its words; a word that spells a number is no name
+        with pytest.raises(ConfigError, match="^config key 'maps': unknown kind '1'"):
+            config_from_mapping({"maps": "boxes, 1"})
+
     def test_study_configs_parse(self):
         names = sorted(path.name for path in STUDIES.glob("*.cfg"))
         assert names == ["gap.cfg", "runtime-boxes.cfg", "runtime-hills.cfg",

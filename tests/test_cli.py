@@ -37,6 +37,12 @@ class TestGen:
                   "--out", str(tmp_path / "x.txt")])
         assert exc.value.code == 2
 
+    def test_reports_the_size_the_map_has(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert main(["gen", "boxes", "--seed", "1", "--size", "12.0", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote boxes 12x12 map to {out}\n"
+        assert load_heightmap(out)[0].shape == (12, 12)
+
     def test_too_small_map_fails_cleanly(self, tmp_path, capsys):
         code = main(["gen", "boxes", "--seed", "1", "--size", "5",
                      "--out", str(tmp_path / "x.txt")])
@@ -85,6 +91,47 @@ class TestPlan:
                      "--start", "0,0", "--goal", "11,11", "--budget", "1"])
         assert code == 4
         assert json.loads(capsys.readouterr().out)["status"] == "budget_exceeded"
+
+    @pytest.mark.parametrize("flags", [["--tau", "5.0"], ["--tau", "5", "--budget", "1e5"]])
+    def test_a_whole_float_flag_runs_as_its_int(self, capsys, flags):
+        # the CI fixture record of saturation at tau 5
+        code = main(["plan", "--fixture", "--alg", "saturation", "--start", "F",
+                     "--goal", "H", *flags])
+        rec = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (rec["path"], rec["cost"]) == ([5, 2, 1, 0, 3, 7], 0.6682918413345676)
+        assert rec["params"]["tau"] == 5 and type(rec["params"]["tau"]) is int
+
+    def test_a_non_number_is_a_usage_error_naming_its_flag(self, capsys):
+        # even where the command ignores the flag: the fixture has no grid
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--fixture", "--alg", "shortest", "--start", "F", "--goal", "H",
+                  "--connectivity", "abc"])
+        assert exc.value.code == 2
+        assert "argument --connectivity: invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ("6", "4 or 8, got 6"), ("2", "an integer of at least 4"),
+        ("4.5", "an integer of at least 4")])
+    def test_connectivity_has_terrain_s_rule(self, tmp_path, capsys, value, message):
+        p = make_map(tmp_path)
+        capsys.readouterr()
+        code = main(["plan", "--map", str(p), "--alg", "shortest", "--start", "0,0",
+                     "--goal", "1,1", "--connectivity", value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: connectivity must be {message}")
+
+    @pytest.mark.parametrize("cell, message", [
+        ("1.5,0", "row must be an integer, got 1.5"), ("0,inf", "col must be an integer, got inf"),
+        ("0,x", "could not convert string to float: 'x'")])
+    def test_a_cell_that_is_no_integer_is_usage_error(self, tmp_path, capsys, cell, message):
+        # the grid's own region rule judges a cell's row and column
+        p = make_map(tmp_path)
+        capsys.readouterr()
+        code = main(["plan", "--map", str(p), "--alg", "shortest", "--start", cell,
+                     "--goal", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_tau_is_usage_error(self, tmp_path, capsys):
         p = make_map(tmp_path)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestExposureFieldFile:
         with pytest.raises(ValueError, match="row bytes"):
             load_exposure_field(p)
 
+    def test_rejects_zero_regions(self, tmp_path):
+        # the field's own rule, as for a field built in memory
+        p = tmp_path / "f.expf"
+        p.write_bytes(EXPF_MAGIC + (0).to_bytes(4, "little"))
+        with pytest.raises(ValueError, match="^exposure field needs at least one region$"):
+            load_exposure_field(p)
+
     def test_rejects_asymmetric_payload(self, tmp_path):
         # region 0 claims to see region 1, region 1 disagrees
         p = tmp_path / "f.expf"
@@ -117,6 +126,12 @@ class TestFieldCache:
         f2 = load_or_compute_field(env, raw, tmp_path)
         assert f1 == f2
         assert cache.read_bytes() == stamp
+
+    def test_the_map_bytes_are_required(self):
+        # every caller passes them; only the cache directory may be None
+        params = inspect.signature(load_or_compute_field).parameters
+        assert params["map_bytes"].default is inspect.Parameter.empty
+        assert params["cache_dir"].default is None
 
     def test_no_cache_skips_files(self, tmp_path):
         elev = np.zeros((2, 2))

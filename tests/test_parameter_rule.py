@@ -8,7 +8,11 @@ Each rule takes a number, never a bool or a string, and returns it in the
 type its code needs: an int for a count, size or seed (a whole float such as
 5.0 included), a float for a length or a probability. A rejection is a
 ValueError naming the parameter; ExperimentConfig raises it as a ConfigError
-naming the config key."""
+naming the config key.
+
+The text front ends keep no rule of their own: a config word or CLI flag that
+spells a number reaches the rule as that number, and any other word stays a
+word (the config) or a usage error naming the flag (the CLI)."""
 
 import math
 import re
@@ -17,11 +21,12 @@ import numpy as np
 import pytest
 
 from stealthpath import (ExperimentConfig, ExplicitGraph, ExposureField, GridEnvironment,
-                         build_environment,
-                         compute_exposure_field, gen_boxes, gen_hills, generate_map, obj_acc,
-                         path_counts, plan, plan_binary, plan_exact, plan_saturation,
-                         run_experiment)
+                         bench, build_environment,
+                         compute_exposure_field, config_from_mapping, gen_boxes, gen_hills,
+                         generate_map, obj_acc, path_counts, plan, plan_binary, plan_exact,
+                         plan_saturation, run_experiment)
 from stealthpath.bench import ConfigError
+from stealthpath.cli import main
 from stealthpath.mapio import format_heightmap
 from stealthpath.search import binary_step_cost, saturation_step_cost, score_path
 
@@ -34,29 +39,33 @@ def values(k):
 
 
 # parameter -> (k, the values the rule accepts, the name a rejection gives,
-# the config field and key, the type the config stores); m and connectivity
-# are no config keys
+# the config field and key, the type the config stores, the CLI flag); m and
+# connectivity are no config keys, and the experiment's counts no flags
 PARAMETERS = {
-    "p_success": (0, {"half"}, "p_success", "p_success", "p_success", float),
-    "tau": (2, {"np.int64", "float"}, "tau", "taus", "taus", int),
-    "node_budget": (5, {"np.int64", "float"}, "node_budget", "node_budget", "budget", int),
+    "p_success": (0, {"half"}, "p_success", "p_success", "p_success", float, "--p-success"),
+    "tau": (2, {"np.int64", "float"}, "tau", "taus", "taus", int, "--tau"),
+    "node_budget": (5, {"np.int64", "float"}, "node_budget", "node_budget", "budget", int,
+                    "--budget"),
     "cell_size": (1, {"np.int64", "float", "half"}, "cell_size", "cell_size", "cell_size",
-                  float),
-    "d": (1, {"np.int64", "float", "half"}, "sensor offset d", "d", "d", float),
+                  float, "--cell-size"),
+    "d": (1, {"np.int64", "float", "half"}, "sensor offset d", "d", "d", float, "--d"),
     "max_step": (1, {"np.int64", "float", "half", "inf"}, "max_step", "max_step",
-                 "max_step", float),
-    "size": (10, {"np.int64", "float"}, "size", "sizes", "sizes", int),
-    "seeds": (1, {"np.int64", "float"}, "seed", "seeds", "seeds", int),
-    "queries": (1, {"np.int64", "float"}, "queries", "queries", "queries", int),
-    "query_seed": (1, {"np.int64", "float"}, "query_seed", "query_seed", "query_seed", int),
-    "workers": (1, {"np.int64", "float"}, "workers", "workers", "workers", int),
+                 "max_step", float, "--max-step"),
+    "size": (10, {"np.int64", "float"}, "size", "sizes", "sizes", int, "--size"),
+    "seeds": (1, {"np.int64", "float"}, "seed", "seeds", "seeds", int, "--seed"),
+    "queries": (1, {"np.int64", "float"}, "queries", "queries", "queries", int, None),
+    "query_seed": (1, {"np.int64", "float"}, "query_seed", "query_seed", "query_seed", int,
+                   None),
+    "workers": (1, {"np.int64", "float"}, "workers", "workers", "workers", int, None),
     # on a one-region world, where m is in (0, 1)
-    "m": (0, {"half"}, "m", None, None, float),
-    "connectivity": (4, {"np.int64", "float"}, "connectivity", None, None, int),
-    "n": (2, {"np.int64", "float"}, "n", None, None, int),
+    "m": (0, {"half"}, "m", None, None, float, "--m"),
+    "connectivity": (4, {"np.int64", "float"}, "connectivity", None, None, int,
+                     "--connectivity"),
+    "n": (2, {"np.int64", "float"}, "n", None, None, int, None),
 }
 VALUES = sorted(values(0))
 CONFIG_PARAMETERS = [param for param, row in PARAMETERS.items() if row[3] is not None]
+FLAG_PARAMETERS = [param for param, row in PARAMETERS.items() if row[6] is not None]
 
 # (parameter, entry) -> the value that means its default there, accepted
 DEFAULTS = {("m", "plan"): "None", ("m", "plan_binary"): "None"}
@@ -139,7 +148,7 @@ ENTRIES = [(param, name) for param in PARAMETERS
 def _config(param, v):
     """An ExperimentConfig of one 10x10 map and one query, with v in the
     parameter's field (a one-entry tuple for a tuple field)."""
-    _, _, _, name, _, _ = PARAMETERS[param]
+    name = PARAMETERS[param][3]
     kwargs = {"kinds": ("boxes",), "sizes": (10,), "seeds": (1,), "queries": 1,
               "algorithms": ("shortest", "binary"), "timing": False}
     if param in ("tau", "p_success"):
@@ -153,7 +162,7 @@ def _config(param, v):
 @pytest.mark.parametrize("value", VALUES)
 @pytest.mark.parametrize("param, entry", ENTRIES, ids=["-".join(e) for e in ENTRIES])
 def test_entry_points_give_one_verdict(flat5, param, entry, value):
-    k, accepted, named, _, _, _ = PARAMETERS[param]
+    k, accepted, named = PARAMETERS[param][:3]
     call = entry_points(param, *flat5)[entry]
     v = values(k)[value]
     if value in accepted or DEFAULTS.get((param, entry)) == value:
@@ -166,7 +175,7 @@ def test_entry_points_give_one_verdict(flat5, param, entry, value):
 @pytest.mark.parametrize("value", VALUES)
 @pytest.mark.parametrize("param", CONFIG_PARAMETERS)
 def test_the_config_gives_the_same_verdict(param, value):
-    k, accepted, _, name, key, kind = PARAMETERS[param]
+    k, accepted, _, name, key, kind = PARAMETERS[param][:6]
     v = values(k)[value]
     if value not in accepted:
         with pytest.raises(ConfigError, match=rf"^config key '{key}': "):
@@ -255,3 +264,95 @@ def test_saturation_step_cost_checks_its_counts(counts):
     field = ExposureField([0b011, 0b111, 0b110])
     with pytest.raises(ValueError, match="^counts must be 3 non-negative integers"):
         saturation_step_cost(field, counts, 1, 2, 0.9)
+
+
+# config words and flag values, with k the parameter's whole test value
+WORDS = ["k", "k.0", "k.5", "1e5", "-1", "nan", "inf", str(10**22), "abc"]
+
+
+def _spell(k, word):
+    return word.replace("k", str(k), 1) if word.startswith("k") else word
+
+
+def _spelled(text):
+    """The number a word spells (int() first, then float()), else the word."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("word", WORDS)
+@pytest.mark.parametrize("param", CONFIG_PARAMETERS)
+def test_a_config_word_gets_the_verdict_of_the_number_it_spells(param, word):
+    k, _, _, name, key = PARAMETERS[param][:5]
+    text = _spell(k, word)
+    v = _spelled(text)
+    try:
+        expected = ExperimentConfig(**{name: (v,) if name in ("sizes", "seeds", "taus") else v})
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+            config_from_mapping({key: text})
+    else:
+        # repr tells 5 from 5.0: the same values, stored as the same types
+        assert repr(config_from_mapping({key: text})) == repr(expected)
+
+
+def _accepted(param, v, flat5):
+    """The rule's verdict on v, asked of the parameter's first library entry
+    point; for size, of its rule, since a generator would build the map."""
+    call = bench._check_size if param == "size" else next(
+        iter(entry_points(param, *flat5).values()))
+    try:
+        call(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _cli_args(param, value, tmp_path):
+    """A command that reads the parameter's flag, with the flag set to value.
+    A map or field flag runs on a one-cell map, where m is in (0, 1)."""
+    flag = PARAMETERS[param][6]
+    if param in ("cell_size", "size", "seeds"):
+        args = {"--seed": "1", "--size": "10", flag: value}
+        return ["gen", "boxes", *(x for item in args.items() for x in item),
+                "--out", str(tmp_path / "gen.txt")]
+    if param in ("p_success", "tau", "node_budget"):
+        alg = "exact" if param == "node_budget" else "saturation"
+        tau = [] if param != "p_success" else ["--tau", "2"]
+        return ["plan", "--fixture", "--alg", alg, "--start", "F", "--goal", "H", *tau,
+                flag, value]
+    one = tmp_path / "one.txt"
+    one.write_text("1 1 1.0\n0.0\n")
+    alg = "binary" if param == "m" else "shortest"
+    return ["plan", "--map", str(one), "--no-cache", "--alg", alg, "--start", "0,0",
+            "--goal", "0,0", flag, value]
+
+
+@pytest.mark.parametrize("word", WORDS)
+@pytest.mark.parametrize("param", FLAG_PARAMETERS)
+def test_a_flag_gets_the_verdict_of_the_number_it_spells(param, word, flat5, tmp_path,
+                                                          monkeypatch, capsys):
+    k, flag = PARAMETERS[param][0], PARAMETERS[param][6]
+    text = _spell(k, word)
+    v = _spelled(text)
+    # a size the rule takes builds a map of the smallest size instead
+    real = bench.generate_map
+    monkeypatch.setattr(bench, "generate_map", lambda kind, seed, size: real(
+        kind, seed, min(bench._check_size(size), bench.MIN_MAP_SIZE)))
+    args = _cli_args(param, text, tmp_path)
+    if isinstance(v, str):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        return
+    code = main(args)
+    err = capsys.readouterr().err
+    if _accepted(param, v, flat5):
+        assert code in (0, 4), err  # 4: a small budget ran out
+    else:
+        assert code == 2 and err.startswith("error: "), err

@@ -301,6 +301,20 @@ class TestObjAcc:
             assert obj_acc([20000, 30000, 2], 0.95, 20000) == pytest.approx(
                 -math.log10(0.95) * 40002, rel=1e-12)
 
+    def test_a_subnormal_power_gets_the_closed_form(self):
+        # 0.01 ** 160 and 0.01 ** 161 lie below the smallest normal float:
+        # log10 of the rounded subnormal was off by up to 1.6e-5 relative
+        assert obj_acc([161], 0.01, 200) == 322.0
+        assert obj_acc([160], 0.01, 200) == 320.0
+        assert obj_acc([161, 160, 1], 0.01, 200) == 644.0
+
+    def test_a_normal_power_keeps_its_bits(self):
+        # 0.01 ** 153 is the last normal power of 0.01
+        for c in range(154):
+            assert obj_acc([c], 0.01, 200) == float(-np.log10(np.float64(0.01) ** c))
+        for c in (0, 1, 7, 500, 13000):
+            assert obj_acc([c], 0.95, 20000) == float(-np.log10(np.float64(0.95) ** c))
+
     def test_the_fixture_at_tau_200_scores_its_planned_cost(self):
         fx = lemma1_fixture()
         with warnings.catch_warnings():

@@ -573,6 +573,15 @@ class TestExposureField:
         assert not field._packed.flags.writeable
         assert np.array_equal(field.to_packed(), ExposureField(field.rows).to_packed())
 
+    @pytest.mark.parametrize("make", [
+        lambda: ExposureField([]),
+        lambda: ExposureField.from_packed(np.zeros((0, 0), np.uint8), 0),
+    ], ids=["rows", "from_packed"])
+    def test_a_field_needs_a_region(self, make):
+        # the constructor's rule runs before the codec reads a zero-width row
+        with pytest.raises(ValueError, match="^exposure field needs at least one region$"):
+            make()
+
     def test_from_packed_keeps_a_read_only_matrix(self, boxes12):
         packed = ExposureField(boxes12[1].rows).to_packed()
         assert ExposureField.from_packed(packed, len(packed)).to_packed() is packed
