@@ -54,6 +54,7 @@ DEFAULT_CELL_SIZE = 10.0
 DEFAULT_MAX_STEP = 1.0
 BOX_HEIGHT = 3.0
 MIN_MAP_SIZE = 10
+MAX_MAP_SIZE = 200  # 40,000 regions, whose packed field is 200 MB
 TAU_SWEEP = (1, 2, 3, 4, 5, 10, 15, 20, 25, 50, 100, 200)
 
 MAP_KINDS = ("boxes", "hills")
@@ -62,8 +63,9 @@ MAP_KINDS = ("boxes", "hills")
 # -- map generators -----------------------------------------------------------
 
 def _check_size(size) -> int:
-    """The map-size rule, for both generators and the experiment's sizes."""
-    return _integer("size", size, MIN_MAP_SIZE)
+    """The map-size rule, for both generators and the experiment's sizes: an
+    integer (terrain's _integer) in [MIN_MAP_SIZE, MAX_MAP_SIZE]."""
+    return _integer("size", size, MIN_MAP_SIZE, MAX_MAP_SIZE)
 
 
 def gen_boxes(seed: int, size: int) -> np.ndarray:
@@ -384,15 +386,15 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 def _parse_config_value(default, value: str):
     """A value, split at commas if its field is a list (a tuple default), each
-    word the number it spells (_number) or else the word itself."""
+    word the number it spells (number) or else the word itself."""
     if isinstance(default, tuple):
         return tuple(_parse_config_value(None, v.strip()) for v in value.split(",") if v.strip())
     with contextlib.suppress(ValueError):
-        return _number(value)
+        return number(value)
     return value
 
 
-def _number(word: str):
+def number(word: str):
     """The number a word spells, for its rule to judge: an int if int() reads
     it, else a float if float() does (1e5, inf, nan), else a ValueError."""
     try:

@@ -4,7 +4,8 @@ Subcommands: gen (write a procedural heightmap), plan (run one planner on
 one query), corridor (equal-exposure corridor of a given path), render
 (grayscale PGM of exposure scores with optional overlays), experiment (the
 full benchmark protocol). A numeric flag is the number it spells
-(bench._number), judged by its parameter's rule alone.
+(bench.number), judged by its parameter's rule alone. The fixture has no
+grid, so --fixture with a grid flag (_GRID_DEFAULTS) is a usage error.
 
 stdout carries machine-readable payloads only (JSON records, nothing else);
 progress and diagnostics go to stderr. Exit codes: 0 success, 1 runtime
@@ -25,6 +26,10 @@ from .terrain import build_environment
 
 _STATUS_EXIT = {search.FOUND: 0, search.NO_PATH: 3, search.BUDGET_EXCEEDED: 4}
 
+# the grid flags, absent unless given, and their values on a map by default
+_GRID_DEFAULTS = {"d": 1.0, "max_step": bench.DEFAULT_MAX_STEP, "connectivity": 4,
+                  "cache_dir": None, "no_cache": False}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a procedural heightmap")
     p_gen.add_argument("kind", choices=bench.MAP_KINDS)
-    p_gen.add_argument("--seed", type=bench._number, required=True)
-    p_gen.add_argument("--size", type=bench._number, required=True, help="cells per side")
-    p_gen.add_argument("--cell-size", type=bench._number, default=bench.DEFAULT_CELL_SIZE,
+    p_gen.add_argument("--seed", type=bench.number, required=True)
+    p_gen.add_argument("--size", type=bench.number, required=True, help="cells per side")
+    p_gen.add_argument("--cell-size", type=bench.number, default=bench.DEFAULT_CELL_SIZE,
                        help="cell pitch in meters (default %(default)s)")
     p_gen.add_argument("--out", required=True, help="output heightmap path")
     p_gen.set_defaults(func=cmd_gen)
@@ -47,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--start", required=True,
                         help="'row,col' cell, or a region letter with --fixture")
     p_plan.add_argument("--goal", required=True)
-    p_plan.add_argument("--tau", type=bench._number, default=None,
+    p_plan.add_argument("--tau", type=bench.number, default=None,
                         help="saturation threshold (saturation planner only)")
-    p_plan.add_argument("--p-success", type=bench._number, default=search.DEFAULT_P_SUCCESS)
-    p_plan.add_argument("--m", type=bench._number, default=None,
+    p_plan.add_argument("--p-success", type=bench.number, default=search.DEFAULT_P_SUCCESS)
+    p_plan.add_argument("--m", type=bench.number, default=None,
                         help="binary planner movement cost (default 1/(2n))")
-    p_plan.add_argument("--budget", type=bench._number, default=search.DEFAULT_NODE_BUDGET,
+    p_plan.add_argument("--budget", type=bench.number, default=search.DEFAULT_NODE_BUDGET,
                         help="exact planner expansion budget (default %(default)s)")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -94,14 +99,15 @@ def _add_world_args(sub: argparse.ArgumentParser, fixture: bool = True) -> None:
     else:
         sub.add_argument("--map", required=True, help="heightmap file")
         sub.set_defaults(fixture=False)
-    sub.add_argument("--d", type=bench._number, default=1.0,
+    unset = argparse.SUPPRESS  # a flag not given is absent: see _GRID_DEFAULTS
+    sub.add_argument("--d", type=bench.number, default=unset,
                      help="sensor height above terrain in meters (default 1)")
-    sub.add_argument("--max-step", type=bench._number, default=bench.DEFAULT_MAX_STEP,
-                     help="max climbable elevation change (default %(default)s)")
-    sub.add_argument("--connectivity", type=bench._number, default=4, help="4 or 8")
-    sub.add_argument("--cache-dir",
+    sub.add_argument("--max-step", type=bench.number, default=unset,
+                     help=f"max climbable elevation change (default {bench.DEFAULT_MAX_STEP})")
+    sub.add_argument("--connectivity", type=bench.number, default=unset, help="4 or 8 (default 4)")
+    sub.add_argument("--cache-dir", default=unset,
                      help="exposure field cache directory (default: map's directory)")
-    sub.add_argument("--no-cache", action="store_true",
+    sub.add_argument("--no-cache", action="store_true", default=unset,
                      help="always recompute the exposure field")
 
 
@@ -110,9 +116,12 @@ class _World:
 
     def __init__(self, args):
         if getattr(args, "fixture", False):
+            if given := ["--" + k.replace("_", "-") for k in _GRID_DEFAULTS if k in vars(args)]:
+                raise ValueError(f"--fixture takes no grid flag, got {', '.join(given)}")
             fx = bench.lemma1_fixture()
             self.env, self.field, self.fixture = fx.graph, fx.field, fx
         else:
+            args = argparse.Namespace(**{**_GRID_DEFAULTS, **vars(args)})
             map_path = Path(args.map)
             raw = map_path.read_bytes()
             elev, cell_size = mapio.parse_heightmap(raw.decode("utf-8"))
@@ -130,7 +139,7 @@ class _World:
         parts = spec.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'row,col', got {spec!r}")
-        return self.env.index(bench._number(parts[0]), bench._number(parts[1]))
+        return self.env.index(bench.number(parts[0]), bench.number(parts[1]))
 
     def parse_path(self, spec: str) -> list[int]:
         if self.fixture is not None:
@@ -189,8 +198,7 @@ def cmd_corridor(args) -> int:
 
 def cmd_render(args) -> int:
     world = _World(args)
-    path = None
-    corridor_mask = None
+    path = corridor_mask = None
     if args.path:
         path = world.parse_path(args.path)
         search.validate_path(world.env, path)

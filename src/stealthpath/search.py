@@ -63,11 +63,13 @@ is the field's own: no module but terrain states the bit layout.
 Inner loops then read field.rows, env.adjacency and heuristic lists built
 once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
 saturation), with no per-neighbour range check; shortest and ess share one
-A*, _fixed_cost_astar, ess's step costs the field's scores as floats, built
-once per field. heapq's functions are looked up once per planner call, never
-at import. Set differences use positive ints only: x ^ (x & y)
-for x & ~y, and |x| - |x & y| for its size, the same integers. ~y is
-negative, and x & ~y takes CPython's slower two's-complement path.
+A*, _fixed_cost_astar, whose step is costs[nb] / scale: 1 / 1 for shortest,
+the field's count over n (the score) for ess. So every planner prices from
+field._counts, and none reads a second per-region table. heapq's functions
+are looked up once per planner call, never at import. Set differences use
+positive ints only: x ^ (x & y) for x & ~y, and |x| - |x & y| for its size,
+the same integers. ~y is negative, and x & ~y takes CPython's slower
+two's-complement path.
 """
 
 from __future__ import annotations
@@ -193,9 +195,7 @@ _TAU_MAX = 2**31 - 1
 
 def _check_tau(tau) -> int:
     """The tau rule: an integer (terrain's _integer) in [1, _TAU_MAX]."""
-    if _integer("tau", tau) > _TAU_MAX:
-        raise ValueError(f"tau must be at most {_TAU_MAX}, got {tau!r}")
-    return int(tau)
+    return _integer("tau", tau, 1, _TAU_MAX)
 
 
 def _check_m(m, n: int) -> float:
@@ -211,7 +211,7 @@ def plan_shortest(env, field, s: int, g: int) -> PlanResult:
     s, g = _check_query(env, field, s, g)
     t0 = time.perf_counter()
     return _result("shortest", {}, s, g, t0, *_fixed_cost_astar(
-        env, s, g, [1.0] * env.n, env.min_steps_to(g).tolist()))
+        env, s, g, [1] * env.n, 1, env.min_steps_to(g).tolist()))
 
 
 def plan_ess(env, field, s: int, g: int) -> PlanResult:
@@ -225,16 +225,16 @@ def plan_ess(env, field, s: int, g: int) -> PlanResult:
     t0 = time.perf_counter()
     hs = (env.manhattan3_to(g) * field.min_score()).tolist()
     return _result("ess", {}, s, g, t0,
-                   *_fixed_cost_astar(env, s, g, field._scores, hs))
+                   *_fixed_cost_astar(env, s, g, field._counts, field.n, hs))
 
 
-def _fixed_cost_astar(env, s, g, costs, hs):
-    """_best_first where entering nb costs costs[nb] and hs[nb] is its h."""
+def _fixed_cost_astar(env, s, g, costs, scale, hs):
+    """_best_first where entering nb costs costs[nb] / scale, with h hs[nb]."""
     adj, push = env.adjacency, heapq.heappush
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         for nb in adj[region]:
-            ng = gg + costs[nb]
+            ng = gg + costs[nb] / scale
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]

@@ -18,7 +18,7 @@ reflexive (a region always sees itself) and symmetric. Its packed form, rows
 of ceil(n/8) bytes in little-endian bit order, is stated once, in the
 functions from _set_bits to _check_packed; no other module states it (mapio
 knows only the row width of its file container). An ExposureField builds its
-counts, scores and packed view once, when it is made. Every structure here is
+counts and packed view once, when it is made. Every structure here is
 immutable once built and safe to share across concurrent planner runs.
 
 Movement is separate from sight: regions are traversable neighbours when
@@ -41,6 +41,7 @@ symmetric, no bit past n).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -116,14 +117,16 @@ def _bounded(value, within, message: str) -> float:
     return number
 
 
-def _integer(name: str, value, least: int = 1) -> int:
+def _integer(name: str, value, least: int = 1, most=math.inf) -> int:
     """The integer rule, for connectivity, a graph's n, tau, node_budget, the
     map size and seeds and the experiment's counts: value as an int if it is
     a whole number (5, np.int64(5) or 5.0; never a bool, 5.5, nan, inf, None
-    or a string) of at least `least`."""
+    or a string) of at least `least` and at most `most`."""
     if not (_real(value) and least <= value < math.inf and value % 1 == 0):
         raise ValueError(f"{name} must be an integer of at least {least} "
                          f"(integers or whole floats), got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 
@@ -505,6 +508,7 @@ def _compact(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=1)
 def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
     """Every pair of cells src < tgt, as groups of ray displacements with
     the samples that decide them.
@@ -519,6 +523,10 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
     ray's runs are ordered midpoint-first, padding last: the run test sweeps
     the rows in that order and drops a pair once it is blocked, which
     happens sooner than in ray order.
+
+    Cached for the latest shape, since re-planning would add about a quarter
+    to each 30x30 build; builds share the plans and never write to them. A
+    new shape is planned before the old shape's plans are freed.
     """
     drs, dcs = np.mgrid[0:height, -(width - 1):width]
     crossings = np.where((drs > 0) | (dcs > 0), drs + np.abs(dcs), 0)
@@ -571,23 +579,6 @@ def _group_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
                                 **{key: _compact(t) for key, t in tables.items()}))
         lo = hi
     return tuple(plans)
-
-
-# The group plans of the most recent grid shape, as ((height, width),
-# plans): a build of another shape replaces them (_shape_plans).
-_plan_cache = None
-
-
-def _shape_plans(height: int, width: int) -> tuple[_GroupPlan, ...]:
-    """_group_plans(height, width), planned once for repeated builds of one
-    shape. The plans are never written to, so builds may share them."""
-    global _plan_cache
-    cached = _plan_cache
-    if cached is None or cached[0] != (height, width):
-        _plan_cache = None  # drop the old shape's tables before planning
-        cached = ((height, width), _group_plans(height, width))
-        _plan_cache = cached
-    return cached[1]
 
 
 def _box_max_table(elev: np.ndarray) -> np.ndarray:
@@ -666,9 +657,9 @@ def compute_exposure_field(env: GridEnvironment) -> "ExposureField":
     matrix is mirrored once at the end (_mirror).
 
     The ray plans behind all three stages depend only on the grid shape and
-    are kept for the most recent shape (_shape_plans), so repeated builds of
-    one shape plan once. The field carries the work counts as `build_stats`
-    (BuildStats).
+    are cached for the most recent shape (_group_plans), so repeated builds
+    of one shape plan once. The field carries the work counts as
+    `build_stats` (BuildStats).
 
     O(n^2) pairs with rays O(sqrt(n)) cells long: cache the field, see the
     mapio module.
@@ -724,7 +715,7 @@ def _add_visible_pairs(env: GridEnvironment, packed: np.ndarray) -> BuildStats:
     elev = env._elev_flat
     step = env.cell_size / LOS_SAMPLES_PER_CELL
     box_max = _box_max_table(env.elevations)
-    plans = _shape_plans(height, width)
+    plans = _group_plans(height, width)
     # the largest run-test block holds max(_LOS_CHUNK_ELEMENTS, chunk) and a
     # boundary batch at most max(_LOS_CHUNK_ELEMENTS, height + width) elements
     most = max(_LOS_CHUNK_ELEMENTS, _CERTIFY_PAIRS, height + width)
@@ -895,17 +886,17 @@ class ExposureField:
 
     The int rows are the storage the planners read. Every constructor goes
     through _init_views, which checks the region count, then builds every
-    derived view once: the counts, the scores as a tuple of floats (plan_ess's
-    step costs, and what scores(), min_score() and exposure_score() read)
+    derived view once: the counts, which every planner's step costs read,
     and the read-only packed matrix of to_packed(), taken as given from
-    compute_exposure_field and from_packed.
+    compute_exposure_field and from_packed. A score is its count over n,
+    divided when asked: int / int rounds once, and min commutes with / n.
 
     build_stats holds the builder's work counts (BuildStats) on a field from
     compute_exposure_field and is None otherwise; equality and hashing
     ignore it.
     """
 
-    __slots__ = ("n", "rows", "build_stats", "_counts", "_scores", "_packed")
+    __slots__ = ("n", "rows", "build_stats", "_counts", "_packed")
 
     def __init__(self, rows: Sequence[int]):
         for k, r in enumerate(rows):
@@ -924,10 +915,8 @@ class ExposureField:
         if not len(packed):
             raise ValueError("exposure field needs at least one region")
         self.rows = rows = _ints_of(packed) if rows is None else rows
-        self.n = n = len(rows)
+        self.n = len(rows)
         self._counts = tuple(r.bit_count() for r in rows)
-        # c / n of two ints rounds once, as float64 division does
-        self._scores = tuple(c / n for c in self._counts)
         self._packed = packed
         self.build_stats = None
 
@@ -940,14 +929,14 @@ class ExposureField:
 
     def exposure_score(self, region: int) -> float:
         """Fraction of the map visible from a region, in [1/n, 1]."""
-        return self._scores[_checked(self.n, region)]
+        return self._counts[_checked(self.n, region)] / self.n
 
     def scores(self) -> np.ndarray:
         """Every region's exposure score, as a new float array."""
-        return np.array(self._scores)
+        return np.array(self._counts) / self.n
 
     def min_score(self) -> float:
-        return min(self._scores)
+        return min(self._counts) / self.n
 
     def members(self, region: int) -> np.ndarray:
         """Visible regions as a sorted index array."""

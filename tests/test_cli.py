@@ -49,6 +49,14 @@ class TestGen:
         assert code == 2
         assert "size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["201", "1e5", str(10**22)])
+    def test_a_size_past_the_bound_writes_no_map(self, tmp_path, capsys, size):
+        out = tmp_path / "big.txt"
+        code = main(["gen", "boxes", "--seed", "1", "--size", size, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: size must be at most 200, got ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["-5", "0", "inf", "nan"])
     def test_bad_cell_size_writes_no_map(self, tmp_path, capsys, cell):
         # every later command would reject such a map with exit 2
@@ -109,6 +117,15 @@ class TestPlan:
                   "--connectivity", "abc"])
         assert exc.value.code == 2
         assert "argument --connectivity: invalid" in capsys.readouterr().err
+
+    def test_a_usage_error_names_no_private_function(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--fixture", "--alg", "saturation", "--start", "F", "--goal", "H",
+                  "--tau", "abc"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument --tau: invalid number value: 'abc'" in err
+        assert "_number" not in err
 
     @pytest.mark.parametrize("value, message", [
         ("6", "4 or 8, got 6"), ("2", "an integer of at least 4"),
@@ -190,6 +207,43 @@ PLAN_PARAMS = {
     "saturation": (["--tau", "3", "--p-success", "0.9"], {"tau": 3, "p_success": 0.9}),
     "exact": (["--budget", "4000"], {"node_budget": 4000}),
 }
+
+
+GRID_FLAGS = [["--d", "5"], ["--max-step", "2"], ["--connectivity", "8"],
+              ["--cache-dir", "cache"], ["--no-cache"]]
+FIXTURE_RUNS = {"plan": ["plan", "--fixture", "--alg", "shortest", "--start", "F", "--goal", "H"],
+                "corridor": ["corridor", "--fixture", "--path", "FCBADE"]}
+
+
+class TestFixtureTakesNoGridFlag:
+    @pytest.mark.parametrize("flag", GRID_FLAGS, ids=[f[0] for f in GRID_FLAGS])
+    @pytest.mark.parametrize("command", FIXTURE_RUNS)
+    def test_a_grid_flag_is_a_usage_error(self, capsys, command, flag):
+        code = main(FIXTURE_RUNS[command] + flag)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --fixture takes no grid flag, got {flag[0]}\n"
+
+    @pytest.mark.parametrize("command", FIXTURE_RUNS)
+    def test_every_grid_flag_given_is_named(self, capsys, command):
+        code = main(FIXTURE_RUNS[command] + [x for flag in GRID_FLAGS for x in flag])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: --fixture takes no grid flag, got "
+                                           "--d, --max-step, --connectivity, --cache-dir, "
+                                           "--no-cache\n")
+
+    @pytest.mark.parametrize("command", FIXTURE_RUNS)
+    def test_the_fixture_runs_without_them(self, capsys, command):
+        assert main(FIXTURE_RUNS[command]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("command", ["plan", "corridor", "render"])
+    def test_help_shows_each_grid_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert all(flag[0] in out for flag in GRID_FLAGS)
+        assert "(default 1)" in out and "(default 1.0)" in out and "(default 4)" in out
 
 
 class TestPlanDispatch:

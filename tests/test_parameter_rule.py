@@ -213,14 +213,16 @@ def test_a_whole_float_region_count_is_stored_as_an_int():
 
 
 # values past a rule's bound, per parameter and not in the shared VALUES
-# table: there, 10**400 would make queries loop and size allocate. Each
-# passed its rule and overflowed later (tau, cell_size 1e308), or made the
-# rule's own float() raise OverflowError (10**400 as a length).
+# table: there, 10**400 would make queries loop. Each passed its rule and
+# overflowed later (tau, cell_size 1e308), failed late inside numpy (size,
+# whose map would not fit in memory), or made the rule's own float() raise
+# OverflowError (10**400 as a length).
 PAST_THE_BOUND = {
     "tau": (2**31, 10**22, 10**400),
     "cell_size": (1e308, 10**400),
     "d": (10**400,),
     "max_step": (10**400,),
+    "size": (201, 10**22, 10**400),
 }
 PAST_ENTRIES = [(param, name, v) for param, vs in PAST_THE_BOUND.items()
                 for name in sorted(entry_points(param, None, None)) for v in vs]
@@ -335,14 +337,10 @@ def _cli_args(param, value, tmp_path):
 @pytest.mark.parametrize("word", WORDS)
 @pytest.mark.parametrize("param", FLAG_PARAMETERS)
 def test_a_flag_gets_the_verdict_of_the_number_it_spells(param, word, flat5, tmp_path,
-                                                          monkeypatch, capsys):
+                                                          capsys):
     k, flag = PARAMETERS[param][0], PARAMETERS[param][6]
     text = _spell(k, word)
     v = _spelled(text)
-    # a size the rule takes builds a map of the smallest size instead
-    real = bench.generate_map
-    monkeypatch.setattr(bench, "generate_map", lambda kind, seed, size: real(
-        kind, seed, min(bench._check_size(size), bench.MIN_MAP_SIZE)))
     args = _cli_args(param, text, tmp_path)
     if isinstance(v, str):
         with pytest.raises(SystemExit) as exc:

@@ -319,7 +319,11 @@ class TestVisibleCertificate:
             elev = np.round(rng.uniform(0.0, 4.0, shape))
             env = build_environment(elev, cell_size=0.3, d=1.0)
             assert compute_exposure_field(env) == reference_exposure_field(env), shape
-            assert terrain._plan_cache[0] == shape  # only the latest shape is kept
+            # only the latest shape is kept, and planning it again is a hit
+            info = terrain._group_plans.cache_info()
+            terrain._group_plans(*shape)
+            assert info.currsize == 1
+            assert terrain._group_plans.cache_info().hits == info.hits + 1
 
     @pytest.mark.parametrize("shape", [(1, 300), (300, 1), (3, 90)])
     def test_matches_every_sample_builder_with_wider_plan_tables(self, shape):
@@ -330,13 +334,21 @@ class TestVisibleCertificate:
         assert compute_exposure_field(env) == reference_exposure_field(env)
 
 
+def _plan_blocks_of(elements, request, monkeypatch):
+    """Set _LOS_CHUNK_ELEMENTS to `elements` for one test, with the plan
+    cache cleared before and after it (in a finalizer), so that plans made
+    under the patched value never reach a later build."""
+    terrain._group_plans.cache_clear()
+    request.addfinalizer(terrain._group_plans.cache_clear)
+    monkeypatch.setattr(terrain, "_LOS_CHUNK_ELEMENTS", elements)
+
+
 @pytest.fixture(params=[1, 9, 100])
 def small_blocks(request, monkeypatch):
     """Run-test blocks and boundary batches of at most `param` elements (or
     one row, or one pair), so that small maps sweep their runs in many
-    blocks; the plans are made afresh for it and the old ones come back."""
-    monkeypatch.setattr(terrain, "_LOS_CHUNK_ELEMENTS", request.param)
-    monkeypatch.setattr(terrain, "_plan_cache", None)
+    blocks; the plans are made afresh for it and dropped after it."""
+    _plan_blocks_of(request.param, request, monkeypatch)
     return request.param
 
 
@@ -382,7 +394,7 @@ class TestRunSweep:
         field = compute_exposure_field(env)
         assert field == reference_exposure_field(env)
         assert any(plan.offset.size and (np.abs(plan.shift) >= 20).all()
-                   for plan in terrain._shape_plans(1, 60))
+                   for plan in terrain._group_plans(1, 60))
         for a in range(60):
             for b in range(a + 6, 60):
                 assert bool(field.exposure_set(a) >> b & 1) == (a % 5 == b % 5 == 0), (a, b)
@@ -422,13 +434,12 @@ class TestRunSweep:
             assert field == reference_exposure_field(env), shape
             assert field.build_stats.boundary_samples > 0
 
-    def test_blocked_pairs_stop_counting_run_samples(self, monkeypatch):
+    def test_blocked_pairs_stop_counting_run_samples(self, request, monkeypatch):
         # one-row blocks drop a blocked pair as soon as a row catches it;
         # the pairs that survive, and so the boundary samples, are the same
         env = build_environment(gen_boxes(3, 12), cell_size=DEFAULT_CELL_SIZE)
         whole = compute_exposure_field(env)
-        monkeypatch.setattr(terrain, "_LOS_CHUNK_ELEMENTS", 1)
-        monkeypatch.setattr(terrain, "_plan_cache", None)
+        _plan_blocks_of(1, request, monkeypatch)
         rows = compute_exposure_field(env)
         assert rows == whole
         assert rows.build_stats.run_samples < whole.build_stats.run_samples
@@ -454,6 +465,14 @@ class TestBuildStats:
         assert compute_exposure_field(env).build_stats == first
         assert compute_exposure_field(env).build_stats == first
         assert isinstance(first, BuildStats)
+
+    def test_two_builds_of_one_shape_plan_once(self):
+        terrain._group_plans.cache_clear()
+        env = build_environment(gen_boxes(4, 12), cell_size=DEFAULT_CELL_SIZE)
+        first = compute_exposure_field(env)
+        assert compute_exposure_field(env) == first
+        info = terrain._group_plans.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_ignored_by_equality_and_absent_on_other_fields(self, boxes12):
         _, field = boxes12
@@ -545,6 +564,19 @@ class TestExposureField:
         assert field.exposure_count(2) == 2
         assert field.exposure_score(1) == 1.0
         assert field.min_score() == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("n", [64, 70, 130])
+    def test_scores_are_counts_over_n(self, n):
+        # exactly: int / int rounds once, and min commutes with / n
+        rng = np.random.default_rng(n)
+        sees = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        sees = sees | sees.T | np.eye(n, dtype=bool)
+        field = ExposureField.from_packed(np.packbits(sees, axis=1, bitorder="little"), n)
+        counts = [field.exposure_count(r) for r in range(n)]
+        assert counts == sees.sum(axis=1).tolist()
+        assert [field.exposure_score(r) for r in range(n)] == [c / n for c in counts]
+        assert field.scores().tolist() == [c / n for c in counts]
+        assert field.min_score() == min(counts) / n
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 70])
     def test_members_are_the_row_bits(self, n):
