@@ -40,7 +40,9 @@ def _union(rows, ids: Sequence[int]) -> int:
 
 def corridor(field, exposed: int) -> int:
     """Bitset of regions whose exposure sets fit inside the exposed set,
-    tested by the field on its packed view (ExposureField._rows_within)."""
+    tested by the field on its packed view (ExposureField._rows_within).
+    The relation is symmetric, so a region fits exactly when no region
+    outside the exposed set sees it: the test ORs only the rows outside."""
     if exposed == 0:
         raise ValueError("exposed set is empty")
     return field._rows_within(exposed)

@@ -13,7 +13,9 @@ experiment harness alike:
   saturation threshold tau, priced in -log10 survival-probability units.
   Its nodes keep the clamped counts as bit-sliced saturating counters on int
   bitsets, bit_length(tau) + 1 ints of n bits each, so a step's price is a
-  popcount. A saturated region's slices are unspecified: nothing reads them.
+  popcount. Each count is stored biased by 2**bit_length(tau) - tau, so the
+  carry out of the top slice is the set of regions that reach tau. A
+  saturated region's slices are unspecified: nothing reads them.
 * plan_exact: best-first search over (region, exposed set) nodes. Optimal
   for the binary objective but exponential; takes an expansion budget.
 
@@ -349,9 +351,7 @@ def _binary_expand(rows, counts, adj, goal_set, m):
 
     def expand(region, seq, gg, acc, heap, best_g, counter):
         acc |= rows[region]
-        # goal regions the accumulator has not exposed yet
-        left = goal_set ^ (goal_set & acc)
-        nleft = float(left.bit_count())
+        left = None
         # every step costs at least m: skip, unpriced, a neighbour whose
         # best g the step cannot beat (module docstring)
         floor = gg + m
@@ -361,6 +361,11 @@ def _binary_expand(rows, counts, adj, goal_set, m):
             ng = gg + (counts[nb] - (rows[nb] & acc).bit_count()) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
+                if left is None:
+                    # goal regions the accumulator has not exposed yet,
+                    # built at the expansion's first push
+                    left = goal_set ^ (goal_set & acc)
+                    nleft = float(left.bit_count())
                 hn = nleft - (left & rows[nb]).bit_count()
                 push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
 
@@ -391,7 +396,10 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     unit = -math.log10(p_success)
     hs = (env.manhattan3_to(g) * tau * unit).tolist()
     expand = _saturation_expand(field.rows, field._counts, env.adjacency, hs, tau, unit)
-    empty = ([0] * tau.bit_length(), 0)
+    # every count is 0, stored as the bias: slice k is all n regions where
+    # bit k of the bias is set
+    every, bias = (1 << env.n) - 1, (1 << tau.bit_length()) - tau
+    empty = ([every if bias >> k & 1 else 0 for k in range(tau.bit_length())], 0)
     return _result("saturation", params, s, g, t0,
                    *_best_first(env.n, s, g, hs[s], empty, expand))
 
@@ -399,37 +407,34 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
 def _saturation_expand(rows, counts, adj, hs, tau, unit):
     """plan_saturation's expand. A node's state is (slices, sat): sat holds
     the regions whose clamped count min(c_i, tau) has reached tau, where c_i
-    counts the sightings of region i, and bit i of slices[k] is bit k of the
-    count of each region i outside sat. A region's slices are unspecified
-    once it is in sat: nothing reads them. "Regions below tau among a row"
-    is then row ^ (row & sat), and its size |row| - |row & sat|.
+    counts the sightings of region i, and bit i of slices[k] is bit k of
+    c_i + bias for each region i outside sat, with B = tau.bit_length() and
+    bias = 2**B - tau. An unsaturated count is below tau, so its biased
+    value is below 2**B - 1 and fits the B slices. A region's slices are
+    unspecified once it is in sat: nothing reads them. "Regions below tau
+    among a row" is then row ^ (row & sat), and its size |row| - |row & sat|.
 
     Expanding a node advances its parent's state by the step into region:
-    every unsaturated region it exposes gains one sighting, and region
-    itself saturates (fields are reflexive). Its one step rule: a step into
-    nb costs unit times the growth of sum(min(c, tau)), one per unsaturated
-    region it exposes, plus, when nb is unsaturated, the rest of nb's jump
-    from its count to tau."""
+    every unsaturated region it exposes gains one sighting, by a
+    ripple-carry add of one across the slices, and region itself saturates
+    (fields are reflexive). A count that reaches tau reaches 2**B biased,
+    so the carry left after the top slice is the set of regions that reach
+    tau. Its one step rule: a step into nb costs unit times the growth of
+    sum(min(c, tau)), one per unsaturated region it exposes, plus, when nb
+    is unsaturated, the rest of nb's jump from its count to tau: tau - 1 -
+    c_nb, which is 2**B - 1 less nb's biased value."""
     push = heapq.heappush
-    tau_bits = [tau >> k & 1 for k in range(tau.bit_length())]
-    top = tau - 1
+    top = (1 << tau.bit_length()) - 1
 
     def expand(region, seq, gg, state, heap, best_g, counter):
         slices, sat = state
         row = rows[region]
-        carry = reached = row ^ (row & sat)
+        carry = row ^ (row & sat)
         out = []
-        for s, bit in zip(slices, tau_bits):
-            # ripple-carry add of one; an unsaturated count is below tau, so
-            # nothing carries out of the top slice
-            s, carry = s ^ carry, carry & s
-            # reached keeps the incremented regions whose new count equals tau
-            if bit:
-                reached &= s
-            else:
-                reached ^= reached & s
-            out.append(s)
-        sat |= reached | 1 << region
+        for s in slices:
+            out.append(s ^ carry)
+            carry &= s
+        sat |= carry | 1 << region
         state = (out, sat)
         for nb in adj[region]:
             # a step costs at least 0: skip, unpriced, a neighbour whose
@@ -462,7 +467,9 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     if counts.shape != (field.n,) or counts.dtype.kind not in "iu" or (counts < 0).any():
         raise ValueError(f"counts must be {field.n} non-negative integers, one per region")
     clamped = np.minimum(counts, tau)
-    slices = [mask_from_indices(np.flatnonzero(clamped >> k & 1))
+    # biased as _saturation_expand stores them
+    biased = clamped.astype(np.int64) + ((1 << tau.bit_length()) - tau)
+    slices = [mask_from_indices(np.flatnonzero(biased >> k & 1))
               for k in range(tau.bit_length())]
     state = (slices, mask_from_indices(np.flatnonzero(clamped == tau)))
     return _one_step(field, dest, state, _saturation_expand, [0.0] * (field.n + 1), tau,

@@ -887,7 +887,8 @@ class ExposureField:
     The int rows are the storage the planners read. Every constructor goes
     through _init_views, which checks the region count, then builds every
     derived view once: the counts, which every planner's step costs read,
-    and the read-only packed matrix of to_packed(), taken as given from
+    their minimum, which ess's heuristic reads through min_score(), and the
+    read-only packed matrix of to_packed(), taken as given from
     compute_exposure_field and from_packed. A score is its count over n,
     divided when asked: int / int rounds once, and min commutes with / n.
 
@@ -896,7 +897,7 @@ class ExposureField:
     ignore it.
     """
 
-    __slots__ = ("n", "rows", "build_stats", "_counts", "_packed")
+    __slots__ = ("n", "rows", "build_stats", "_counts", "_min_count", "_packed")
 
     def __init__(self, rows: Sequence[int]):
         for k, r in enumerate(rows):
@@ -917,6 +918,7 @@ class ExposureField:
         self.rows = rows = _ints_of(packed) if rows is None else rows
         self.n = len(rows)
         self._counts = tuple(r.bit_count() for r in rows)
+        self._min_count = min(self._counts)
         self._packed = packed
         self.build_stats = None
 
@@ -936,19 +938,23 @@ class ExposureField:
         return np.array(self._counts) / self.n
 
     def min_score(self) -> float:
-        return min(self._counts) / self.n
+        return self._min_count / self.n
 
     def members(self, region: int) -> np.ndarray:
         """Visible regions as a sorted index array."""
         return np.flatnonzero(_unpack(self._packed[_checked(self.n, region)], self.n))
 
     def _rows_within(self, mask: int) -> int:
-        """Bitset of the regions whose rows lie inside the bitset `mask`:
-        row i fits when no byte of row & ~mask is non-zero. Bits of mask
-        at or past n meet no row and are dropped before it is packed."""
-        outside = ~_pack_ints([mask & ((1 << self.n) - 1)], self.n)
-        fits = ~(self._packed & outside).any(axis=1)
-        return _ints_of(_pack(fits)[None])[0]
+        """Bitset of the regions whose rows lie inside the bitset `mask`.
+        The relation is symmetric (validate), so row i leaves mask exactly
+        when some region outside mask sees i: the answer is the complement
+        of the union of the rows outside mask, read from the packed view.
+        That reads one row per region outside mask, never more than all n.
+        Bits of mask at or past n meet no row and are dropped first."""
+        every = (1 << self.n) - 1
+        outside = np.flatnonzero(_unpack(_pack_ints([every ^ (mask & every)], self.n), self.n)[0])
+        seen = np.bitwise_or.reduce(self._packed[outside], axis=0)
+        return every ^ _ints_of(seen[None])[0]
 
     def to_packed(self) -> np.ndarray:
         """Rows as a read-only (n, ceil(n/8)) uint8 matrix, laid out as

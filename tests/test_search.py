@@ -573,6 +573,11 @@ class TestPlanSaturation:
 # every slice width from 1 to 5 bits, on both sides of each width boundary
 ORACLE_TAUS = [1, 2, 3, 4, 7, 8, 25]
 
+# biases (2**bit_length(tau) - tau) at the edges of the counters: a lone
+# bias bit at the top of five (16) or six (32) slices, and a bias of 1 over
+# five slices (31); run on the small grid and past one word only
+WIDE_TAUS = [16, 31, 32]
+
 
 def assert_matches_oracle(env, field, queries, tau, p_success=0.95):
     for s, g in queries:
@@ -598,8 +603,13 @@ class TestSaturationMatchesCountArrayOracle:
         env, field = request.getfixturevalue(world)
         assert_matches_oracle(env, field, random_queries(env, count, tau), tau)
 
+    @pytest.mark.parametrize("tau", WIDE_TAUS)
+    def test_small_grid_at_wide_taus(self, boxes12, tau):
+        env, field = boxes12
+        assert_matches_oracle(env, field, random_queries(env, 25, tau), tau)
+
     @pytest.mark.parametrize("with_points", [False, True], ids=["no-points", "points"])
-    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    @pytest.mark.parametrize("tau", ORACLE_TAUS + WIDE_TAUS)
     def test_explicit_graph_past_one_machine_word(self, tau, with_points):
         n = 90
         rng = np.random.default_rng(tau)
@@ -621,6 +631,38 @@ class TestSaturationMatchesCountArrayOracle:
     def test_random_grids(self, seed, shape, tau, p):
         env, field = random_world(seed, shape, max_step=float(seed % 3))
         assert_matches_oracle(env, field, random_queries(env, 6, seed), tau, p)
+
+
+def reference_saturation_step_cost(field, counts, dest, tau, p_success):
+    """The count-array pricing of a step into dest, as
+    reference_plan_saturation prices it: one per region dest exposes whose
+    count is below tau, plus, when dest is below tau, the rest of its jump
+    to tau, times -log10(p_success)."""
+    below = int(np.count_nonzero(counts[field.members(dest)] < tau))
+    cb = int(counts[dest])
+    if cb < tau:
+        below -= 1
+    return (below + (tau - min(cb, tau))) * -math.log10(p_success)
+
+
+class TestSaturationStepCostMatchesCountArrayPricing:
+    """saturation_step_cost, which biases the counts it is given into the
+    planner's counters, prices a step as count arrays do, at the taus whose
+    biases sit at the counters' edges, from counts on both sides of tau."""
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS + WIDE_TAUS)
+    @pytest.mark.parametrize("world", ["boxes12", "graph_past_one_word"])
+    def test_random_counts(self, world, tau, request):
+        if world == "graph_past_one_word":
+            env, field = graph_past_one_word(5, False)
+        else:
+            env, field = request.getfixturevalue(world)
+        rng = np.random.default_rng(tau)
+        for _ in range(40):
+            counts = rng.integers(0, tau + 3, env.n)
+            dest = int(rng.integers(0, env.n))
+            want = reference_saturation_step_cost(field, counts, dest, tau, 0.9)
+            assert saturation_step_cost(field, counts, dest, tau, 0.9) == want
 
 
 def assert_binary_matches_oracle(env, field, queries, m=None):
