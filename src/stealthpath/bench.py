@@ -73,7 +73,8 @@ def gen_boxes(seed: int, size: int) -> np.ndarray:
 
     Blocks are BOX_HEIGHT tall (well past DEFAULT_MAX_STEP, so their walls
     stop movement), rest fully inside the border, and keep a one-cell gap
-    from each other so every wall cell stays reachable.
+    from each other so every wall cell stays reachable. The first block
+    drawn has nothing to clear, so every map has at least one.
     """
     size = _check_size(size)
     rng = np.random.default_rng(_integer("seed", seed, 0))
@@ -94,19 +95,15 @@ def gen_boxes(seed: int, size: int) -> np.ndarray:
         if clear:
             placed.append((r, c, h, w))
             elev[r:r + h, c:c + w] = BOX_HEIGHT
-    if not placed:
-        raise ValueError(f"could not place any box on a {size}x{size} map")
     return elev
 
 
-def gen_hills(seed: int, size: int,
-              amplitude: tuple[float, float] = (5.0, 15.0)) -> np.ndarray:
+def gen_hills(seed: int, size: int) -> np.ndarray:
     """Smooth terrain from random Gaussian bumps.
 
-    Bump heights are drawn uniformly from the amplitude range (a degenerate
-    (0, 0) range gives a flat map). After summing the bumps, elevations are
-    rescaled if needed so the steepest adjacent step is 0.9, keeping the
-    whole map traversable under DEFAULT_MAX_STEP.
+    Bump heights are drawn uniformly from [5, 15). After summing the bumps,
+    elevations are rescaled if needed so the steepest adjacent step is 0.9,
+    keeping the whole map traversable under DEFAULT_MAX_STEP.
     """
     size = _check_size(size)
     rng = np.random.default_rng(_integer("seed", seed, 0))
@@ -114,7 +111,7 @@ def gen_hills(seed: int, size: int,
     elev = np.zeros((size, size))
     for _ in range(max(3, size // 6)):
         cx, cy = rng.uniform(0, size, 2)
-        amp = rng.uniform(amplitude[0], amplitude[1])
+        amp = rng.uniform(5.0, 15.0)
         sig2 = rng.uniform(size / 20, size / 10) ** 2
         elev += amp * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * sig2))
     dmax = max(np.abs(np.diff(elev, axis=0)).max(),

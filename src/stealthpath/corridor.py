@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import bit_indices, mask_from_indices
-from .terrain import check_field_matches, path_ids
+from .terrain import check_field_matches, path_ids, region_set
 
 
 def exposed_set(field, path: Sequence[int]) -> int:
@@ -42,17 +42,21 @@ def corridor(field, exposed: int) -> int:
     """Bitset of regions whose exposure sets fit inside the exposed set,
     tested by the field on its packed view (ExposureField._rows_within).
     The relation is symmetric, so a region fits exactly when no region
-    outside the exposed set sees it: the test ORs only the rows outside."""
+    outside the exposed set sees it: the test ORs only the rows outside.
+    exposed passes terrain's region-set rule (region_set); its bits at or
+    past n are ignored."""
+    exposed = region_set(exposed, "exposed")
     if exposed == 0:
         raise ValueError("exposed set is empty")
     return field._rows_within(exposed)
 
 
 def average_width(corridor_mask: int, path: Sequence[int]) -> float:
-    """Corridor cells per seed-path step: |C| / len(path)."""
+    """Corridor cells per seed-path step: |C| / len(path). corridor_mask
+    passes terrain's region-set rule (region_set)."""
     if len(path) == 0:
         raise ValueError("empty path")
-    return corridor_mask.bit_count() / len(path)
+    return region_set(corridor_mask, "corridor_mask").bit_count() / len(path)
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def _reachable_within(env, mask: int, seeds: Sequence[int]) -> int:
 def corridor_record(c: Corridor) -> dict:
     return {
         "seed_path": list(c.seed_path),
-        "exposed": bit_indices(c.exposed),
-        "corridor": bit_indices(c.corridor),
+        "exposed": bit_indices(c.exposed, "exposed"),
+        "corridor": bit_indices(c.corridor, "corridor"),
         "avg_width": c.avg_width,
     }

@@ -30,7 +30,7 @@ def exposure_image(env, field) -> np.ndarray:
 
 def overlay_corridor(image: np.ndarray, env, corridor_mask: int) -> np.ndarray:
     out = image.copy()
-    for r in bit_indices(corridor_mask):
+    for r in bit_indices(corridor_mask, "corridor_mask"):
         out[divmod(region_id(env.n, r, "corridor region"), env.width)] = CORRIDOR_PIXEL
     return out
 

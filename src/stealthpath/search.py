@@ -55,9 +55,10 @@ The pushes, paths, costs and expansions are those of pricing every step.
 Every PlanResult carries _best_first's SearchStats, left out of result_record.
 
 A caller's start, goal and path pass terrain's one region rule (region_id,
-path_ids) on the way in, and each parameter its one rule: _check_p for
-p_success, _check_m for m and _check_tau for tau here (terrain's integer
-rule _integer, bounded at 2**31 - 1 so no count or heuristic overflows), and
+path_ids) on the way in, binary_step_cost's accumulator its region-set rule
+(region_set), and each parameter its one rule: _check_p for p_success,
+_check_m for m and _check_tau for tau here (terrain's integer rule
+_integer, bounded at 2**31 - 1 so no count or heuristic overflows), and
 _integer for node_budget. A rule returns the value as the planners read it
 (a whole float such as 5.0 as the int 5). path_counts reads the field's
 packed rows through terrain's _unpack, and the corridor's containment test
@@ -87,7 +88,8 @@ import numpy as np
 
 from .bitset import mask_from_indices
 from .corridor import exposed_set
-from .terrain import _bounded, _integer, _unpack, check_field_matches, path_ids, region_id
+from .terrain import (_bounded, _integer, _unpack, check_field_matches, path_ids,
+                      region_id, region_set)
 
 FOUND = "found"
 NO_PATH = "no_path"
@@ -344,14 +346,17 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
 
 def _binary_expand(rows, counts, adj, goal_set, m):
     """plan_binary's expand. A node's state is its accumulator, the union of
-    the rows its path occupies. Its one step rule: a step into nb costs
-    counts[nb] - (rows[nb] & acc).bit_count(), the regions it newly exposes
-    (counts[nb] is the size of rows[nb]), plus m."""
+    the rows its path occupies. An expansion builds one goal remainder, the
+    goal regions outside the accumulator, before its neighbour loop, and
+    every row it pushes takes its h from it. Its one step rule: a step into
+    nb costs counts[nb] - (rows[nb] & acc).bit_count(), the regions it newly
+    exposes (counts[nb] is the size of rows[nb]), plus m."""
     push = heapq.heappush
 
     def expand(region, seq, gg, acc, heap, best_g, counter):
         acc |= rows[region]
-        left = None
+        left = goal_set ^ (goal_set & acc)
+        nleft = float(left.bit_count())
         # every step costs at least m: skip, unpriced, a neighbour whose
         # best g the step cannot beat (module docstring)
         floor = gg + m
@@ -361,11 +366,6 @@ def _binary_expand(rows, counts, adj, goal_set, m):
             ng = gg + (counts[nb] - (rows[nb] & acc).bit_count()) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                if left is None:
-                    # goal regions the accumulator has not exposed yet,
-                    # built at the expansion's first push
-                    left = goal_set ^ (goal_set & acc)
-                    nleft = float(left.bit_count())
                 hn = nleft - (left & rows[nb]).bit_count()
                 push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
 
@@ -478,7 +478,9 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
     """Cost plan_binary assigns to the same transition, for the tau = 1 link;
-    it runs the planner's own expand for the one step (_one_step)."""
+    it runs the planner's own expand for the one step (_one_step). The
+    accumulator passes terrain's region-set rule (region_set)."""
+    accumulator = region_set(accumulator, "accumulator")
     return _one_step(field, dest, accumulator, _binary_expand, 0, _check_m(m, field.n))
 
 

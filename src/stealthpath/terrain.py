@@ -26,11 +26,12 @@ they are grid-adjacent (4- or 8-connectivity) and their elevation difference
 is within ``max_step``. A region is never traversable to itself.
 
 Every region a caller hands in, here or to any other module, is checked by
-one rule, region_id (path_ids for a path). The grid's parameters have one
-rule each, _check_cell_size, _check_d and _check_max_step, which take a
-number (_real: never a bool or a string) that float() can represent and
-return it as a float (_bounded, every real-valued rule's check); connectivity
-and an ExplicitGraph's n pass the integer rule, _integer. The cell size, d
+one rule, region_id (path_ids for a path), and every set of regions, a
+bitmask, by one rule, region_set. The grid's parameters have one rule each,
+_check_cell_size, _check_d and _check_max_step, which take a number (_real:
+never a bool or a string) that float() can represent and return it as a
+float (_bounded, every real-valued rule's check); connectivity and an
+ExplicitGraph's n pass the integer rule, _integer. The cell size, d
 and the elevations are at most 1e150 in magnitude, so no coordinate, height
 or distance overflows. The two data objects that cross the library boundary
 have one rule each, applied wherever a caller makes, reads or writes one:
@@ -97,6 +98,16 @@ def path_ids(n: int, path: Sequence[int]) -> list[int]:
     for k, r in enumerate(path):
         region_id(n, r, f"path[{k}]")
     raise error
+
+
+def region_set(mask, name: str) -> int:
+    """mask as a Python int if it is a set of regions: an int or numpy
+    integer (_int) of at least 0, bit i for region i. Else a ValueError
+    naming `name` ("exposed", "exposure row 3"). Bits at or past n are left
+    to the caller."""
+    if not _int(mask) or mask < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {mask!r}")
+    return int(mask)
 
 
 def _real(value) -> bool:
@@ -881,8 +892,8 @@ class ExposureField:
     Row i is an int bitset of every region sharing line of sight with i,
     including i itself. Exposure scores therefore live in [1/n, 1]. Every
     field a caller builds is checked. ExposureField(rows) requires each row
-    to be an int or numpy integer (_int), non-negative with no bit at or past
-    n, then runs validate(); from_packed runs validate's _check_packed.
+    to be a region set (region_set) with no bit at or past n, then runs
+    validate(); from_packed runs validate's _check_packed.
 
     The int rows are the storage the planners read. Every constructor goes
     through _init_views, which checks the region count, then builds every
@@ -900,11 +911,8 @@ class ExposureField:
     __slots__ = ("n", "rows", "build_stats", "_counts", "_min_count", "_packed")
 
     def __init__(self, rows: Sequence[int]):
-        for k, r in enumerate(rows):
-            if not _int(r) or r < 0:
-                raise ValueError(f"exposure row {k} must be a non-negative integer, got {r!r}")
         # plain ints, never numpy integers: rows must not overflow at n > 63
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(region_set(r, f"exposure row {k}") for k, r in enumerate(rows))
         if any(r >> len(rows) for r in rows):
             raise ValueError("exposure row has bits beyond the region count")
         self._init_views(_pack_ints(rows, len(rows)), rows)

@@ -18,7 +18,7 @@ from stealthpath import (DEFAULT_MAX_STEP, ExperimentConfig, FOUND,
                          plan_exact, run_experiment, sample_query,
                          traversable, write_records_jsonl, write_summary_csv)
 import stealthpath
-from stealthpath import search
+from stealthpath import bench, search
 from stealthpath.bench import BOX_HEIGHT, MIN_MAP_SIZE, ConfigError, load_records_jsonl
 
 STUDIES = Path(__file__).resolve().parents[1] / "studies"
@@ -73,12 +73,6 @@ class TestGenerators:
         assert steps <= 0.9 + 1e-12
         env = build_environment(elev, max_step=DEFAULT_MAX_STEP)
         assert (component_labels(env) == 0).all()
-
-    def test_hills_zero_amplitude_is_flat(self):
-        elev = gen_hills(1, 12, amplitude=(0.0, 0.0))
-        assert np.allclose(elev, 0.0)
-        field = compute_exposure_field(build_environment(elev, cell_size=10.0))
-        assert field.min_score() == 1.0
 
     def test_size_validation(self):
         with pytest.raises(ValueError, match="size"):
@@ -262,6 +256,29 @@ class TestRunExperiment:
         sat = [r for r in records if r["algorithm"] == "saturation"]
         assert [r["p_success"] for r in sat] == [0.8, 0.8]
 
+    def test_a_failing_cell_is_recorded_and_the_others_run(self, monkeypatch):
+        cfg = ExperimentConfig(**{**TINY, "queries": 1})
+        clean = run_experiment(cfg)
+        real = bench.plan
+
+        def plan(alg, *args, **kwargs):
+            if alg == "binary":
+                raise RuntimeError("boom")
+            return real(alg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "plan", plan)
+        records = run_experiment(cfg)
+        [failed] = [r for r in records if r["algorithm"] == "binary"]
+        assert (failed["status"], failed["error"], failed["expansions"]) == (
+            "error", "RuntimeError: boom", 0)
+        for key in ("runtime_s", "runtime_ratio", "path_len", "obj_bin", "obj_acc",
+                    "optimality_gap", "avg_width"):
+            assert failed[key] is None, key
+        others = [r for r in records if r["algorithm"] != "binary"]
+        assert strip_timing(others) == strip_timing(
+            [r for r in clean if r["algorithm"] != "binary"])
+        assert len(others) == len(clean) - 1
+
     def test_parallel_pool_matches_sequential(self):
         base = dict(TINY, seeds=(1, 2), queries=1, timing=False,
                     algorithms=("shortest", "binary"))
@@ -307,6 +324,16 @@ class TestRecordIO:
         assert header["version"] == 1
         assert header["config"]["queries"] == 1
         assert loaded == json.loads(json.dumps(records))
+
+    def test_load_rejects_an_empty_file_and_another_schema(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        with pytest.raises(ValueError, match="missing header line$"):
+            load_records_jsonl(empty)
+        other = tmp_path / "other.jsonl"
+        other.write_text(json.dumps({"schema": "something-else", "version": 1}) + "\n")
+        with pytest.raises(ValueError, match="unexpected schema 'something-else'$"):
+            load_records_jsonl(other)
 
     def test_zero_query_files(self, tmp_path):
         cfg = ExperimentConfig(**{**TINY, "queries": 0})

@@ -359,6 +359,20 @@ class TestCorridor:
         assert code == 2
         assert "step 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, path, message", [
+        ("fixture", "123", "no region letters in path '123'"),
+        ("map", ";;", "empty path"),
+    ])
+    def test_a_path_with_no_region_is_usage_error(self, tmp_path, capsys, source, path,
+                                                  message):
+        flags = ["--fixture"] if source == "fixture" else [
+            "--map", str(make_map(tmp_path)), "--no-cache"]
+        capsys.readouterr()
+        assert main(["corridor", *flags, "--path", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_path_file(self, tmp_path, capsys):
         p = make_map(tmp_path)
         pf = tmp_path / "path.txt"

@@ -117,7 +117,9 @@ class TestCorridor:
             want = reference_corridor(field, k)
             for extra in {n, 8 * nbytes - 1, 8 * nbytes, 8 * nbytes + 9, 300} - set(range(n)):
                 assert corridor(field, k | 1 << extra) == want, (k, extra)
-            assert corridor(field, k | ~((1 << n) - 1)) == want
+            # every bit past n set is a negative int: no region set
+            with pytest.raises(ValueError, match="exposed must be a non-negative integer"):
+                corridor(field, k | ~((1 << n) - 1))
 
 
 class TestAverageWidth:

@@ -42,6 +42,8 @@ class TestHeightmapFormat:
             parse_heightmap("1 1 0\n0\n")
         with pytest.raises(ValueError, match="finite"):
             parse_heightmap("1 1 1.0\ninf\n")
+        with pytest.raises(ValueError, match="^bad heightmap header 'a 3 1.0'"):
+            parse_heightmap("a 3 1.0\n0 0 0\n")
 
     @pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "-5", "0"])
     def test_cell_size_is_positive_and_finite(self, cell):
@@ -84,6 +86,12 @@ class TestExposureFieldFile:
         p = tmp_path / "f.expf"
         p.write_bytes(b"NOPE" + bytes(8))
         with pytest.raises(ValueError, match="magic"):
+            load_exposure_field(p)
+
+    def test_rejects_a_truncated_header(self, tmp_path):
+        p = tmp_path / "f.expf"
+        p.write_bytes(EXPF_MAGIC + b"\x01")
+        with pytest.raises(ValueError, match="truncated header$"):
             load_exposure_field(p)
 
     def test_rejects_truncation(self, tmp_path, boxes12):

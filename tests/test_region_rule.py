@@ -1,22 +1,27 @@
 """The one rule for a region a caller hands in (terrain.region_id, and
-terrain.path_ids for a path), applied at every entry point that takes one.
+terrain.path_ids for a path), applied at every entry point that takes one,
+and the one rule for a set of regions (terrain.region_set).
 
 A region is an int or a numpy integer, never a bool or a float, in [0, n).
 Callers' entry points raise ValueError naming the position they reject; the
 accessors raise IndexError out of range, as a sequence does. A grid cell's
-row and col (GridEnvironment.index) take the same types."""
+row and col (GridEnvironment.index) take the same types. A region set, a
+bitmask, is an int or a numpy integer of at least 0."""
 
 import re
 
 import numpy as np
 import pytest
 
-from stealthpath import (ALGORITHMS, ExplicitGraph, brute_force_min_exposure,
-                         build_corridor, line_of_sight, obj_bin, path_counts, plan,
+from stealthpath import (ALGORITHMS, Corridor, ExplicitGraph, ExposureField, average_width,
+                         brute_force_min_exposure, build_corridor, corridor,
+                         corridor_record, line_of_sight, obj_bin, path_counts, plan,
                          traversable, validate_path)
+from stealthpath.bitset import bit_indices
 from stealthpath.corridor import exposed_set
-from stealthpath.render import compose, exposure_image, overlay_path
+from stealthpath.render import compose, exposure_image, overlay_corridor, overlay_path
 from stealthpath.search import binary_step_cost, saturation_step_cost, score_path
+from stealthpath.terrain import region_set
 
 BAD = [True, np.bool_(True), 1.0, 1.5, None, -1, "n"]  # "n": the region count
 
@@ -164,3 +169,57 @@ def test_an_empty_path_is_rejected(flat5):
                  lambda: overlay_path(image, env, [])):
         with pytest.raises(ValueError, match="empty path"):
             call()
+
+
+BAD_SETS = [-1, -5, True, np.bool_(True), 1.5, None, "3"]
+
+
+def region_set_entries(env, field):
+    """name -> (call with region set k at the tested position, that position)."""
+    return {
+        "ExposureField-row": (lambda k: ExposureField([1, k, 4]), "exposure row 1"),
+        "corridor": (lambda k: corridor(field, k), "exposed"),
+        "average_width": (lambda k: average_width(k, [1]), "corridor_mask"),
+        "bit_indices": (lambda k: bit_indices(k), "mask"),
+        "corridor_record-exposed": (
+            lambda k: corridor_record(Corridor((0,), k, 1, 1.0)), "exposed"),
+        "corridor_record-corridor": (
+            lambda k: corridor_record(Corridor((0,), 1, k, 1.0)), "corridor"),
+        "overlay_corridor": (lambda k: overlay_corridor(exposure_image(env, field), env,
+                                                        k).tolist(), "corridor_mask"),
+        "compose": (lambda k: compose(env, field, corridor_mask=k).tolist(), "corridor_mask"),
+        "binary_step_cost": (lambda k: binary_step_cost(field, k, 1, 0.01), "accumulator"),
+    }
+
+
+SET_ENTRIES = sorted(region_set_entries(None, None))
+# compose reads corridor_mask=None as no corridor overlay
+SET_CASES = [pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+             for entry in SET_ENTRIES for bad in BAD_SETS
+             if not (entry == "compose" and bad is None)]
+
+
+@pytest.mark.parametrize("entry, bad", SET_CASES)
+def test_region_set_entry_points_name_the_parameter(flat5, entry, bad):
+    env, field = flat5
+    call, name = region_set_entries(env, field)[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be a non-negative integer, got {bad!r}")):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", SET_ENTRIES)
+def test_numpy_integers_are_region_sets(flat5, entry):
+    env, field = flat5
+    call, _ = region_set_entries(env, field)[entry]
+    want = call(2)
+    for kind in (np.int64, np.int32, np.uint8):
+        assert call(kind(2)) == want
+
+
+def test_a_region_set_is_a_python_int():
+    for kind in (int, np.int64, np.uint64, np.uint8):
+        mask = region_set(kind(6), "mask")
+        assert mask == 6 and type(mask) is int
+    assert region_set(0, "mask") == 0
+    assert bit_indices(np.int64(6)) == [1, 2]

@@ -88,6 +88,12 @@ class TestPgmIO:
         with pytest.raises(ValueError, match="PGM"):
             load_pgm(p)
 
+    def test_rejects_a_16_bit_maxval(self, tmp_path):
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
+        with pytest.raises(ValueError, match="expected maxval 255, got 65535$"):
+            load_pgm(p)
+
     def test_truncated_body(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(b"P5\n2 2\n255\n\x00\x01\x02")

@@ -775,6 +775,10 @@ class TestExplicitGraph:
         with pytest.raises(ValueError, match="finite"):
             ExplicitGraph(2, [(0, 1)], points=points)
 
+    def test_rejects_points_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^points must be \(3, 3\)$"):
+            ExplicitGraph(3, [], points=np.zeros((2, 3)))
+
     def test_heuristics_degrade_to_zero_without_points(self):
         g = ExplicitGraph(2, [(0, 1)])
         assert g.min_steps(0, 1) == 0
