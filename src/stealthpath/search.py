@@ -33,24 +33,39 @@ All ties are broken on (f, h, region, insertion order), so identical queries
 return identical paths.
 
 All five planners run one pop loop, _best_first. A heap row is a whole
-node, (f, h, region, seq, parent_seq, g, parent_state): the 7th element is
-the state of the node that pushed the row, and seq, unique, keeps every
-comparison from reaching it. Only expanded nodes are kept, in closed:
-seq -> (region, parent_seq), for path recovery. A node's state (exposed
-set, saturation counters, or None) is built from its row's parent_state
-when it is expanded, by the planner's expand closure, which also pushes
-neighbours, each row carrying that state: the other four push one whose g
+node, (f, h, region, seq, parent, g, state), and seq, unique, keeps every
+comparison from reaching parent and state. Only expanded nodes are kept,
+in two closed lists indexed by expansion order, regions and parents, for
+path recovery: a row's parent is the index there of the node that pushed
+it, and the start is index 0. What a row's state holds is the planner's:
+
+* binary and exact: the node's own exposed set, the union of the rows of
+  the regions on its path (acc | rows[nb] for a step into nb, rows[s] at
+  the start). An expansion reads it as it is, and plan_exact's seen keys
+  and its heap rows share one int per node.
+* saturation: the counters of the node that pushed the row. A node builds
+  its own, one ripple-carry add, when it is expanded, and every row it
+  pushes shares them. A ripple per push would cost about 1.5 ripples per
+  expansion, since saturation pushes about 1.5 rows per expansion
+  (327,836 for 217,543 over the benchmark's seed-0 queries).
+* shortest and ess: None.
+
+Each expand closure pushes neighbours: the region-keyed four one whose g
 beats its region's best, and plan_exact each (region, exposed set) key it
 has not pushed before. So a state lives while a row it rides in is queued,
 and is freed once the last of them is popped.
 
-binary and saturation skip a neighbour before pricing it when the step
-cannot beat its region's best g: binary when gg + m >= best_g[nb], and
-saturation when gg >= best_g[nb]. That is exact. A step's price is an int
->= 0 (times unit > 0 for saturation), and IEEE addition is monotone, so the
-priced ng = gg + delta + m is at least gg + m (ng = gg + delta * unit at
-least gg), and the skipped step would have failed ng < best_g[nb] anyway.
-The pushes, paths, costs and expansions are those of pricing every step.
+Every region-keyed expand skips a neighbour, unpriced, once a lower bound
+of its priced g cannot beat its region's best g: shortest, ess and
+saturation when gg >= best_g[nb], binary when gg + m >= best_g[nb], and
+saturation again, after the rows' growth, when gg + grow * unit >=
+best_g[nb], before it reads nb's count. That is exact. A step's price is
+1 / 1 for shortest and a count over n for ess, binary's an int >= 0 plus
+m, and saturation's (grow + jump) * unit, with ints grow, jump >= 0 and
+unit > 0. IEEE addition and multiplication are monotone, so the priced ng
+is at least the bound, and the skipped step would have failed ng <
+best_g[nb] anyway. The pushes, paths, costs and expansions are those of
+pricing every step.
 
 Every PlanResult carries _best_first's SearchStats, left out of result_record.
 
@@ -67,8 +82,9 @@ Inner loops then read field.rows, env.adjacency and heuristic lists built
 once per query (env.min_steps_to for shortest, env.manhattan3_to for ess and
 saturation), with no per-neighbour range check; shortest and ess share one
 A*, _fixed_cost_astar, whose step is costs[nb] / scale: 1 / 1 for shortest,
-the field's count over n (the score) for ess. So every planner prices from
-field._counts, and none reads a second per-region table. heapq's functions
+the field's count over n (the score) for ess. ess and saturation price
+from field._counts, binary from the popcount of the exposed sets it
+carries, and none reads a second per-region table. heapq's functions
 are looked up once per planner call, never at import. Set differences use
 positive ints only: x ^ (x & y) for x & ~y, and |x| - |x & y| for its size,
 the same integers. ~y is negative, and x & ~y takes CPython's slower
@@ -107,7 +123,7 @@ class SearchStats(NamedTuple):
     pushes: int  # rows expand pushed; the start's row is not one
     stale_pops: int  # rows popped and dropped: their region had a lower g
     peak_frontier: int  # the most rows the heap held at once
-    closed: int  # nodes kept in closed: each expanded node but the goal
+    closed: int  # nodes in the closed lists: each expanded node but the goal
 
 
 # slots: callers keep many results, and a slotted one is smaller
@@ -236,31 +252,37 @@ def _fixed_cost_astar(env, s, g, costs, scale, hs):
     """_best_first where entering nb costs costs[nb] / scale, with h hs[nb]."""
     adj, push = env.adjacency, heapq.heappush
 
-    def expand(region, seq, gg, state, heap, best_g, counter):
+    def expand(region, idx, gg, state, heap, best_g, counter):
         for nb in adj[region]:
+            # a step costs at least 0: skip, unpriced, a neighbour whose
+            # best g is already at most gg (module docstring)
+            if gg >= best_g[nb]:
+                continue
             ng = gg + costs[nb] / scale
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]
-                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, None))
+                push(heap, (ng + hn, hn, nb, next(counter), idx, ng, None))
 
     return _best_first(env.n, s, g, hs[s], None, expand)
 
 
 def _best_first(n, s, g, h0, state0, expand, budget=-1):
     """The pop loop of every planner; the module docstring gives its heap
-    rows and closed map. Returns (status, path, cost, expansions, stats).
-    The start's row carries state0, the state before the start, and a row
-    popped with g above its region's best g is stale.
+    rows and closed lists. Returns (status, path, cost, expansions, stats).
+    The start's row carries state0 (rows[s] for binary and exact, the
+    counters before the start for saturation), and a row popped with g
+    above its region's best g is stale.
 
-    expand(region, seq, g, parent_state, heap, best_g, counter) runs once per
-    expanded node but the goal. It builds the node's state from parent_state,
-    the state its row carries, and pushes each neighbour nb as (g + h, h, nb,
-    next(counter), seq, g, state) itself, setting best_g[nb] if it keys on
-    regions, so no call is made per push. The start is seq 0; counter goes
-    on from 1. binary's and saturation's expand read best_g[nb] first and
-    skip, before pricing, a step that cannot beat it; the module docstring
-    shows that this is exact.
+    expand(region, idx, g, state, heap, best_g, counter) runs once per
+    expanded node but the goal, idx being the node's index in the closed
+    lists. It takes the state the node's row carries (saturation builds the
+    node's own from it) and pushes each neighbour nb as (g + h, h, nb,
+    next(counter), idx, g, state') itself, setting best_g[nb] if it keys on
+    regions, so no call is made per push. The start is seq 0 and index 0;
+    counter goes on from 1. Every region-keyed expand reads best_g[nb] first
+    and skips, before pricing, a step that cannot beat it; the module
+    docstring shows that this is exact.
 
     The goal's pop counts as an expansion. Past budget expansions the next
     pop ends the search: found if it is the goal, else budget_exceeded. The
@@ -276,50 +298,51 @@ def _best_first(n, s, g, h0, state0, expand, budget=-1):
     best_g = [math.inf] * n
     best_g[s] = 0.0
     counter = itertools.count(1)
-    closed = {}
+    regions, parents = [], []
     expansions = 0
     peak = 1
     while heap:
-        _, _, region, seq, parent, gg, state = pop(heap)
+        _, _, region, _, parent, gg, state = pop(heap)
         if gg > best_g[region]:
             continue
         if region == g:
             path = [region]
             while parent >= 0:
-                region, parent = closed[parent]
-                path.append(region)
-            expansions += 1
-            return (FOUND, path[::-1], gg, expansions,
-                    _search_stats(counter, heap, expansions, 0, closed, peak))
+                path.append(regions[parent])
+                parent = parents[parent]
+            return (FOUND, path[::-1], gg, expansions + 1,
+                    _search_stats(counter, heap, expansions + 1, 0, len(regions), peak))
         if expansions == budget:
             return (BUDGET_EXCEEDED, None, None, expansions,
-                    _search_stats(counter, heap, expansions, 1, closed, peak))
+                    _search_stats(counter, heap, expansions, 1, len(regions), peak))
+        expand(region, expansions, gg, state, heap, best_g, counter)
+        regions.append(region)
+        parents.append(parent)
         expansions += 1
-        expand(region, seq, gg, state, heap, best_g, counter)
-        closed[seq] = (region, parent)
         if len(heap) > peak:
             peak = len(heap)
     return (NO_PATH, None, None, expansions,
-            _search_stats(counter, heap, expansions, 0, closed, peak))
+            _search_stats(counter, heap, expansions, 0, len(regions), peak))
 
 
 def _search_stats(counter, heap, expansions, held, closed, peak) -> SearchStats:
-    """The counters from the loop's state when it ends. A stale pop is any
-    row but those still in the heap, the expanded ones (the goal's among
-    them) and held, the one row a budget stop pops."""
+    """The counters from the loop's state when it ends, closed being the
+    length of the closed lists. A stale pop is any row but those still in
+    the heap, the expanded ones (the goal's among them) and held, the one
+    row a budget stop pops."""
     pushes = next(counter) - 1
-    return SearchStats(pushes, pushes + 1 - len(heap) - expansions - held, peak,
-                       len(closed))
+    return SearchStats(pushes, pushes + 1 - len(heap) - expansions - held, peak, closed)
 
 
 def _one_step(field, dest, state, make_expand, *params):
     """The price of a step into dest from a node whose state is state, as
-    the planner of make_expand(rows, counts, adj, *params) prices it. Its
-    expand runs once, at g 0, for a virtual region n whose row is 0 and
-    whose one neighbour is dest, so its state is state again; the one row
+    the planner of make_expand(rows, adj, *params) prices it. Its expand
+    runs once, at g 0, for a virtual region n whose row is 0 and whose one
+    neighbour is dest. Row n exposes nothing, so that node's state is state
+    itself (saturation's ripple for it adds to no count), and the one row
     it pushes holds the price as its g."""
     dest, n = region_id(field.n, dest, "dest region"), field.n
-    expand = make_expand(field.rows + (0,), field._counts, {n: (dest,)}, *params)
+    expand = make_expand(field.rows + (0,), {n: (dest,)}, *params)
     heap = []
     expand(n, 0, 0.0, state, heap, {dest: math.inf}, itertools.count())
     return heap[0][5]
@@ -328,10 +351,10 @@ def _one_step(field, dest, state, make_expand, *params):
 def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanResult:
     """A* minimizing newly exposed regions.
 
-    Nodes carry the accumulator of everything the path has exposed so far,
-    built when the node is expanded; stepping into b costs the accumulator
-    growth, |E(b)| - |E(b) & acc|, plus m, a movement cost small enough
-    (m < 1/n) that no amount of walking outweighs one exposure.
+    Each node carries its accumulator, everything its path has exposed;
+    stepping into b costs the accumulator's growth, |acc | E(b)| - |acc|,
+    plus m, a movement cost small enough (m < 1/n) that no amount of
+    walking outweighs one exposure.
     Heuristic: goal exposures not yet in the accumulator.
     """
     s, g = _check_query(env, field, s, g)
@@ -339,35 +362,37 @@ def plan_binary(env, field, s: int, g: int, m: Optional[float] = None) -> PlanRe
     params = {"m": m}
     t0 = time.perf_counter()
     rows, goal_set = field.rows, field.rows[g]
-    expand = _binary_expand(rows, field._counts, env.adjacency, goal_set, m)
-    h0 = float((goal_set ^ (goal_set & rows[s])).bit_count())
-    return _result("binary", params, s, g, t0, *_best_first(env.n, s, g, h0, 0, expand))
+    expand = _binary_expand(rows, env.adjacency, goal_set, m)
+    h0 = goal_set.bit_count() - (goal_set & rows[s]).bit_count()
+    return _result("binary", params, s, g, t0,
+                   *_best_first(env.n, s, g, h0, rows[s], expand))
 
 
-def _binary_expand(rows, counts, adj, goal_set, m):
+def _binary_expand(rows, adj, goal_set, m):
     """plan_binary's expand. A node's state is its accumulator, the union of
-    the rows its path occupies. An expansion builds one goal remainder, the
-    goal regions outside the accumulator, before its neighbour loop, and
-    every row it pushes takes its h from it. Its one step rule: a step into
-    nb costs counts[nb] - (rows[nb] & acc).bit_count(), the regions it newly
-    exposes (counts[nb] is the size of rows[nb]), plus m."""
+    the rows its path occupies, and the node's own row carries it, so an
+    expansion reads it as it is. Its one step rule: a step into nb makes the
+    accumulator child = acc | rows[nb] and costs its growth,
+    child.bit_count() - acc.bit_count(), plus m. The row it pushes carries
+    child, with h the goal regions outside it, |goal_set| - |goal_set &
+    child|."""
     push = heapq.heappush
+    goal_size = goal_set.bit_count()
 
-    def expand(region, seq, gg, acc, heap, best_g, counter):
-        acc |= rows[region]
-        left = goal_set ^ (goal_set & acc)
-        nleft = float(left.bit_count())
+    def expand(region, idx, gg, acc, heap, best_g, counter):
+        size = acc.bit_count()
         # every step costs at least m: skip, unpriced, a neighbour whose
         # best g the step cannot beat (module docstring)
         floor = gg + m
         for nb in adj[region]:
             if floor >= best_g[nb]:
                 continue
-            ng = gg + (counts[nb] - (rows[nb] & acc).bit_count()) + m
+            child = acc | rows[nb]
+            ng = gg + (child.bit_count() - size) + m
             if ng < best_g[nb]:
                 best_g[nb] = ng
-                hn = nleft - (left & rows[nb]).bit_count()
-                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
+                hn = goal_size - (goal_set & child).bit_count()
+                push(heap, (ng + hn, hn, nb, next(counter), idx, ng, child))
 
     return expand
 
@@ -395,7 +420,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
     # order, built once per query: a list read costs less than a method call
     unit = -math.log10(p_success)
     hs = (env.manhattan3_to(g) * tau * unit).tolist()
-    expand = _saturation_expand(field.rows, field._counts, env.adjacency, hs, tau, unit)
+    expand = _saturation_expand(field.rows, env.adjacency, field._counts, hs, tau, unit)
     # every count is 0, stored as the bias: slice k is all n regions where
     # bit k of the bias is set
     every, bias = (1 << env.n) - 1, (1 << tau.bit_length()) - tau
@@ -404,7 +429,7 @@ def plan_saturation(env, field, s: int, g: int, tau: int,
                    *_best_first(env.n, s, g, hs[s], empty, expand))
 
 
-def _saturation_expand(rows, counts, adj, hs, tau, unit):
+def _saturation_expand(rows, adj, counts, hs, tau, unit):
     """plan_saturation's expand. A node's state is (slices, sat): sat holds
     the regions whose clamped count min(c_i, tau) has reached tau, where c_i
     counts the sightings of region i, and bit i of slices[k] is bit k of
@@ -426,7 +451,7 @@ def _saturation_expand(rows, counts, adj, hs, tau, unit):
     push = heapq.heappush
     top = (1 << tau.bit_length()) - 1
 
-    def expand(region, seq, gg, state, heap, best_g, counter):
+    def expand(region, idx, gg, state, heap, best_g, counter):
         slices, sat = state
         row = rows[region]
         carry = row ^ (row & sat)
@@ -437,9 +462,14 @@ def _saturation_expand(rows, counts, adj, hs, tau, unit):
         sat |= carry | 1 << region
         state = (out, sat)
         for nb in adj[region]:
-            # a step costs at least 0: skip, unpriced, a neighbour whose
-            # best g is already at most gg (module docstring)
+            # skip a neighbour whose best g the step cannot beat (module
+            # docstring): unpriced if it is at most gg, and before reading
+            # nb's count if it is at most gg plus the rows' growth, to which
+            # nb's jump only adds
             if gg >= best_g[nb]:
+                continue
+            grow = counts[nb] - (rows[nb] & sat).bit_count()
+            if gg + grow * unit >= best_g[nb]:
                 continue
             # an unsaturated nb jumps from its count to tau, one sighting
             # of which the rows' growth already counts
@@ -448,11 +478,11 @@ def _saturation_expand(rows, counts, adj, hs, tau, unit):
                 jump = top
                 for k, s in enumerate(out):
                     jump -= (s >> nb & 1) << k
-            ng = gg + (counts[nb] - (rows[nb] & sat).bit_count() + jump) * unit
+            ng = gg + (grow + jump) * unit
             if ng < best_g[nb]:
                 best_g[nb] = ng
                 hn = hs[nb]
-                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, state))
+                push(heap, (ng + hn, hn, nb, next(counter), idx, ng, state))
 
     return expand
 
@@ -472,8 +502,8 @@ def saturation_step_cost(field, counts: np.ndarray, dest: int, tau: int,
     slices = [mask_from_indices(np.flatnonzero(biased >> k & 1))
               for k in range(tau.bit_length())]
     state = (slices, mask_from_indices(np.flatnonzero(clamped == tau)))
-    return _one_step(field, dest, state, _saturation_expand, [0.0] * (field.n + 1), tau,
-                     -math.log10(p_success))
+    return _one_step(field, dest, state, _saturation_expand, field._counts,
+                     [0.0] * (field.n + 1), tau, -math.log10(p_success))
 
 
 def binary_step_cost(field, accumulator: int, dest: int, m: float) -> float:
@@ -513,18 +543,18 @@ def plan_exact(env, field, s: int, g: int,
     goal_set, base = rows[g], field._counts[s]
     seen = {(s, rows[s])}
 
-    def expand(region, seq, gg, acc, heap, best_g, counter):
-        acc |= rows[region]
+    def expand(region, idx, gg, acc, heap, best_g, counter):
         for nb in adj[region]:
             key = (nb, acc | rows[nb])
             if key not in seen:
                 seen.add(key)
                 ng = key[1].bit_count() - base
                 hn = (goal_set ^ (goal_set & key[1])).bit_count()
-                push(heap, (ng + hn, hn, nb, next(counter), seq, ng, acc))
+                push(heap, (ng + hn, hn, nb, next(counter), idx, ng, key[1]))
 
     h0 = (goal_set ^ (goal_set & rows[s])).bit_count()
-    status, walk, cost, n, stats = _best_first(env.n, s, g, h0, 0, expand, node_budget)
+    status, walk, cost, n, stats = _best_first(env.n, s, g, h0, rows[s], expand,
+                                               node_budget)
     if walk is None:
         return _result("exact", params, s, g, t0, status, None, None, n, stats)
     path = []

@@ -1144,6 +1144,70 @@ class TestPushSequenceMatchesOracles:
         self.assert_same_pushes(monkeypatch, graph, field, queries, alg, kwargs)
 
 
+class TestRowsCarryTheirOwnExposedSet:
+    """Every row plan_binary and plan_exact push carries its own node's
+    exposed set: the union of the rows of the regions on its path, which
+    the parent indices recover back to the start. binary's h is the goal's
+    regions outside that set."""
+
+    CALLS = [("binary", {}), ("exact", {"node_budget": 300})]
+
+    def pushed_rows(self, monkeypatch, run):
+        """Run run() with heapq spied on. Returns every row it pushed, each
+        with the row popped last before the push: the row of the node that
+        pushed it."""
+        pushed, last = [], [None]
+        push, pop = heapq.heappush, heapq.heappop
+
+        def spy_push(heap, row):
+            pushed.append((row, last[0]))
+            push(heap, row)
+
+        def spy_pop(heap):
+            last[0] = pop(heap)
+            return last[0]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heapq, "heappush", spy_push)
+            patch.setattr(heapq, "heappop", spy_pop)
+            run()
+        return pushed
+
+    def assert_rows_carry_paths(self, monkeypatch, env, field, queries, alg, kwargs):
+        rows, total = field.rows, 0
+        for s, g in queries:
+            pushed = self.pushed_rows(monkeypatch, lambda: plan(alg, env, field, s, g, **kwargs))
+            # a parent index names one expanded node, whose own row was popped
+            # just before the rows it pushes
+            node = {}
+            for row, popped in pushed:
+                assert node.setdefault(row[4], popped) is popped, (alg, s, g)
+            for row, _ in pushed:
+                exposed, r = rows[row[2]], row
+                while r[4] >= 0:
+                    r = node[r[4]]
+                    exposed |= rows[r[2]]
+                assert r[2] == s, (alg, s, g)
+                assert row[6] == exposed, (alg, s, g, row[:6])
+                if alg == "binary":
+                    assert row[1] == (rows[g] & ~exposed).bit_count(), (s, g, row[:6])
+            total += len(pushed)
+        assert total > len(queries)
+
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "exact"])
+    @pytest.mark.parametrize("world, count", [("flat5", 20), ("boxes12", 15), ("hills20", 6)])
+    def test_maps(self, monkeypatch, world, count, alg, kwargs, request):
+        env, field = request.getfixturevalue(world)
+        queries = random_queries(env, count, 11) + [(0, env.n - 1)]
+        self.assert_rows_carry_paths(monkeypatch, env, field, queries, alg, kwargs)
+
+    @pytest.mark.parametrize("alg, kwargs", CALLS, ids=["binary", "exact"])
+    def test_explicit_graph_past_one_machine_word(self, monkeypatch, alg, kwargs):
+        graph, field = graph_past_one_word(4, True)
+        queries = random_queries(graph, 10, 4) + [(0, graph.n - 1)]
+        self.assert_rows_carry_paths(monkeypatch, graph, field, queries, alg, kwargs)
+
+
 class TestSearchStats:
     """PlanResult.stats, derived from the pop loop's end state, equals what
     a spy on heapq counts."""
